@@ -164,7 +164,11 @@ def save_checkpoint(path, entries: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read an RCKP container back into an ordered name -> array dict."""
+    """Read an RCKP container back into an ordered name -> array dict.
+
+    Every read is bounds-checked: a short or corrupt file raises
+    DataIOError, never a struct or decode error.
+    """
     try:
         with open(path, "rb") as f:
             raw = f.read()
@@ -172,15 +176,26 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         raise DataIOError(f"cannot read {path}: {e}") from e
     if raw[:4] != _RCKP_MAGIC:
         raise DataIOError(f"{path} is not an RCKP checkpoint")
+    if len(raw) < 12:
+        raise DataIOError(f"{path} has a truncated header")
     version, count = struct.unpack_from("<II", raw, 4)
     if version != _RCKP_VERSION:
         raise DataIOError(f"{path} has unsupported version {version}")
     offset = 12
     entries: dict[str, np.ndarray] = {}
-    for _ in range(count):
+    for index in range(count):
+        if offset + 2 > len(raw):
+            raise DataIOError(f"{path} is truncated at entry {index} of {count}")
         (nlen,) = struct.unpack_from("<H", raw, offset)
         offset += 2
-        name = raw[offset:offset + nlen].decode("utf-8")
+        if offset + nlen > len(raw):
+            raise DataIOError(f"{path} is truncated in the name of entry {index}")
+        try:
+            name = raw[offset:offset + nlen].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise DataIOError(f"{path}: the name of entry {index} is not UTF-8") from e
+        if name in entries:
+            raise DataIOError(f"{path} has a second entry named {name!r}")
         offset += nlen
         try:
             arr, offset = tns_decode(raw, offset)

@@ -13,6 +13,7 @@ reverse execution order.
 
 from __future__ import annotations
 
+import math
 import struct
 from contextlib import contextmanager
 from typing import Callable, Iterable, Optional, Sequence
@@ -476,8 +477,9 @@ def conv2d_forward_direct(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
                           stride: int = 1, padding: int = 0) -> np.ndarray:
     """Plain-loop cross-correlation; the correctness-defining form.
 
-    Test-scale only: the Tensor op below uses an im2col fast path whose
-    output must match this function bit-for-bit modulo summation order.
+    Test-scale only: the Tensor op below uses a shift-and-accumulate GEMM
+    kernel whose output must match this function bit-for-bit modulo
+    summation order.
     """
     n, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
@@ -496,28 +498,38 @@ def conv2d_forward_direct(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
     return out
 
 
-def _im2col_nchw(xp: np.ndarray, kh: int, kw: int, stride: int,
-                 hout: int, wout: int) -> np.ndarray:
-    """Columns in (N, C*kh*kw, hout*wout) layout.
+def _tap_product(w_tap: np.ndarray, x_tap: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = w_tap @ x_tap for one image and one kernel tap.
 
-    Built from kh*kw contiguous slice copies, so both the copy and the
-    following batched GEMM run without any axis gather. For 1x1 stride-1
-    kernels this is a free reshape of the input.
+    With one input channel the product is an outer product, which numpy's
+    matmul runs about ten times slower than the broadcast multiply; both
+    form each element as the same single product.
     """
-    n, c = xp.shape[:2]
-    if kh == 1 and kw == 1 and stride == 1:
-        return xp.reshape(n, c, hout * wout)
-    col = np.empty((n, c, kh, kw, hout, wout), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            col[:, :, i, j] = xp[:, :, i:i + stride * hout:stride,
-                                 j:j + stride * wout:stride]
-    return col.reshape(n, c * kh * kw, hout * wout)
+    if w_tap.shape[1] == 1:
+        return np.multiply(w_tap, x_tap, out=out)
+    return np.matmul(w_tap, x_tap, out=out)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2D cross-correlation over N,C,H,W with gradients for all operands."""
+    """2D cross-correlation over N,C,H,W with gradients for all operands.
+
+    Shift-and-accumulate kernel (MEC, Cho & Brand 2017): with the padded
+    input flattened to (N, C, Hp*Wp), the input of kernel tap (i, j) for
+    every output pixel is the one slice starting at i*Wp + j, and output
+    pixel (r, c) sits at r*Wp + c. So each tap is one GEMM per image,
+    ``W[:, :, i, j] @ slice``, accumulated into an output of row pitch Wp
+    whose last Wp - Wout columns per row are junk and dropped. Backward
+    uses the same slices: grad-w of a tap is ``g @ slice.T`` summed over
+    the batch, and grad-x adds ``W[:, :, i, j].T @ g`` into the slice of a
+    zeroed padded buffer. No column buffer is built; the backward closure
+    holds the padded input and the weight only.
+
+    The taps of one image run back to back, so its accumulator stays in
+    cache, and an image's output does not depend on the batch it came in.
+    A stride above one subsamples the unit-stride result (no caller in
+    the network uses one).
+    """
     if x.ndim != 4:
         raise DimensionError(f"conv2d input must be 4D, got shape {x.shape}")
     if weight.ndim != 4:
@@ -538,43 +550,68 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         raise DimensionError(
             f"conv2d bias has shape {bias.shape}, expected ({cout},)"
         )
-    hout = (h + 2 * padding - kh) // stride + 1
-    wout = (w + 2 * padding - kw) // stride + 1
+    hp, wp = h + 2 * padding, w + 2 * padding
+    hout = (hp - kh) // stride + 1
+    wout = (wp - kw) // stride + 1
+    # Unit-stride output rows, and the flat length from the first output
+    # pixel to the last: tap (i, j) reads x_flat[..., off:off + span].
+    rows = hp - kh + 1
+    span = rows * wp - kw + 1
+    taps = [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
+    keep = (slice(None), slice(None),
+            slice(0, (hout - 1) * stride + 1, stride),
+            slice(0, (wout - 1) * stride + 1, stride))
 
     if padding:
         xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
-        xp = x.data
-    cols = _im2col_nchw(xp, kh, kw, stride, hout, wout)
-    w_mat = weight.data.reshape(cout, -1)
-    out_data = np.matmul(w_mat, cols).reshape(n, cout, hout, wout)
+        xp = np.ascontiguousarray(x.data)
+    x_flat = xp.reshape(n, cin, hp * wp)
+    w_taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))
+
+    acc = np.empty((n, cout, rows * wp), dtype=x.dtype)
+    tmp = np.empty((cout, span), dtype=x.dtype)
+    for b in range(n):
+        acc_b = acc[b, :, :span]
+        for t, (i, j, off) in enumerate(taps):
+            x_tap = x_flat[b, :, off:off + span]
+            if t == 0:
+                _tap_product(w_taps[i, j], x_tap, acc_b)
+            else:
+                acc_b += _tap_product(w_taps[i, j], x_tap, tmp)
+    out_view = acc.reshape(n, cout, rows, wp)[keep]
     if bias is not None:
-        out_data += bias.data.reshape(1, cout, 1, 1)
+        out_data = out_view + bias.data.reshape(1, cout, 1, 1)
+    else:
+        out_data = np.ascontiguousarray(out_view)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def bw(g):
-        g3 = g.reshape(n, cout, hout * wout)
-        if weight.requires_grad:
-            gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0)
-            weight._accum(gw.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accum(g.sum(axis=(0, 2, 3)))
+        if (hout, wout) == (rows, wp):
+            g_flat = np.ascontiguousarray(g).reshape(n, cout, span)
+        else:
+            g_wide = np.zeros((n, cout, rows, wp), dtype=g.dtype)
+            g_wide[keep] = g
+            g_flat = g_wide.reshape(n, cout, rows * wp)[:, :, :span]
+        if weight.requires_grad:
+            gw = np.empty((kh, kw, cin, cout), dtype=g.dtype)
+            g_flat_t = g_flat.transpose(0, 2, 1)
+            for i, j, off in taps:
+                np.matmul(x_flat[:, :, off:off + span], g_flat_t).sum(axis=0, out=gw[i, j])
+            weight._accum(gw.transpose(3, 2, 0, 1))
         if x.requires_grad:
-            g_cols = np.matmul(w_mat.T, g3)
-            if kh == 1 and kw == 1 and stride == 1 and padding == 0:
-                x._accum(g_cols.reshape(n, cin, h, w))
-                return
-            g_col6 = g_cols.reshape(n, cin, kh, kw, hout, wout)
-            hp, wp = h + 2 * padding, w + 2 * padding
-            gxp = np.zeros((n, cin, hp, wp), dtype=g.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i:i + stride * hout:stride,
-                        j:j + stride * wout:stride] += g_col6[:, :, i, j]
+            gx = np.zeros((n, cin, hp, wp), dtype=g.dtype)
+            gx_flat = gx.reshape(n, cin, hp * wp)
+            g_tap = np.empty((cin, span), dtype=g.dtype)
+            for b in range(n):
+                for i, j, off in taps:
+                    gx_flat[b, :, off:off + span] += np.matmul(w_taps[i, j].T, g_flat[b], out=g_tap)
             if padding:
-                gxp = gxp[:, :, padding:padding + h, padding:padding + w]
-            x._accum(gxp)
+                gx = gx[:, :, padding:padding + h, padding:padding + w]
+            x._accum(gx)
 
     return Tensor._make(out_data, parents, bw)
 
@@ -782,16 +819,25 @@ def tns_encode(arr: np.ndarray) -> bytes:
 
 
 def tns_decode(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Parse one TNS1 record starting at `offset`; returns (array, end)."""
+    """Parse one TNS1 record starting at `offset`; returns (array, end).
+
+    Every read is bounds-checked: a short or corrupt record raises
+    DataIOError, never a struct or numpy error.
+    """
     if buf[offset:offset + 4] != _TNS_MAGIC:
         raise DataIOError("not a TNS1 container")
+    head = offset + 6
+    if head > len(buf):
+        raise DataIOError("TNS1 header truncated")
     code, rank = struct.unpack_from("<BB", buf, offset + 4)
     if code not in _DTYPE_CODES:
         raise DataIOError(f"unknown dtype code {code}")
-    dims = struct.unpack_from(f"<{rank}I", buf, offset + 6)
+    start = head + 4 * rank
+    if start > len(buf):
+        raise DataIOError("TNS1 extents truncated")
+    dims = struct.unpack_from(f"<{rank}I", buf, head)
     dtype = _DTYPE_CODES[code]
-    count = int(np.prod(dims)) if rank else 1
-    start = offset + 6 + 4 * rank
+    count = math.prod(dims)
     end = start + count * dtype.itemsize
     if end > len(buf):
         raise DataIOError("TNS1 payload truncated")

@@ -104,6 +104,19 @@ class TestForward:
         for name, m in store.moments_items():
             np.testing.assert_array_equal(m.mean, before[name])
 
+    def test_eval_forward_is_batch_invariant(self):
+        # Inference exports batch-1 predictions; they must equal the same
+        # slices' rows of a batched forward, byte for byte.
+        store = build(ArchConfig(levels=2, base_channels=8), rng_seed=5)
+        rng = np.random.default_rng(5)
+        forward(store, Tensor(rng.standard_normal((4, 1, 32, 32)).astype(np.float32)),
+                training=True)
+        x = rng.standard_normal((4, 1, 32, 32)).astype(np.float32)
+        batch = forward(store, Tensor(x), training=False).data
+        single = np.concatenate([forward(store, Tensor(x[i:i + 1]), training=False).data
+                                 for i in range(4)])
+        assert batch.tobytes() == single.tobytes()
+
     def test_training_forward_mutates_only_moments(self):
         store = build(TINY, rng_seed=8)
         params_before = {n: store.param(n).data.copy() for n in store.names()}

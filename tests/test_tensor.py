@@ -1,5 +1,7 @@
 """Tensor engine tests: forward semantics, gradients, serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,32 @@ from cacseg.tensor import RunningMoments, Tensor
 
 def t64(arr, requires_grad=True):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=requires_grad)
+
+
+# id: (input shape, kh, kw, stride, padding), 4 output channels.
+CONV_CASES = {
+    "1-0-3-3": ((2, 3, 9, 10), 3, 3, 1, 0),
+    "1-1-3-3": ((2, 3, 9, 10), 3, 3, 1, 1),
+    "2-1-3-3": ((2, 3, 9, 10), 3, 3, 2, 1),
+    "1-0-1-1": ((2, 3, 9, 10), 1, 1, 1, 0),
+    "2-0-2-4": ((2, 3, 9, 10), 2, 4, 2, 0),
+    "3-2-5-3": ((2, 3, 9, 10), 5, 3, 3, 2),
+    # Shapes whose kernel path differs from 3x3/pad 1 at unit stride.
+    "cin1": ((2, 1, 9, 11), 3, 3, 1, 1),
+    "attention-1x1": ((2, 6, 17, 1), 1, 1, 1, 0),
+    "stride2-odd-width": ((2, 3, 9, 11), 3, 3, 2, 1),
+    "5x3-pad2": ((2, 3, 9, 11), 5, 3, 1, 2),
+    "odd-width": ((2, 3, 7, 13), 3, 3, 1, 1),
+}
+SHAPE_CASES = ["cin1", "attention-1x1", "stride2-odd-width", "5x3-pad2", "odd-width"]
+
+
+def conv_operands(case, rng, dtype=np.float32):
+    shape, kh, kw, stride, padding = CONV_CASES[case]
+    x = rng.standard_normal(shape).astype(dtype)
+    w = rng.standard_normal((4, shape[1], kh, kw)).astype(dtype)
+    b = rng.standard_normal(4).astype(dtype)
+    return x, w, b, stride, padding
 
 
 class TestConstruction:
@@ -50,17 +78,59 @@ class TestConv2d:
         y = T.conv2d(x, w, b)
         np.testing.assert_array_equal(y.data, x.data)
 
-    @pytest.mark.parametrize("stride,padding,kh,kw",
-                             [(1, 0, 3, 3), (1, 1, 3, 3), (2, 1, 3, 3),
-                              (1, 0, 1, 1), (2, 0, 2, 4), (3, 2, 5, 3)])
-    def test_matches_direct_form(self, stride, padding, kh, kw):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((2, 3, 9, 10)).astype(np.float32)
-        w = rng.standard_normal((4, 3, kh, kw)).astype(np.float32)
-        b = rng.standard_normal(4).astype(np.float32)
+    @pytest.mark.parametrize("case", list(CONV_CASES))
+    def test_matches_direct_form(self, case):
+        x, w, b, stride, padding = conv_operands(case, np.random.default_rng(11))
         fast = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding)
         direct = T.conv2d_forward_direct(x, w, b, stride, padding)
         np.testing.assert_allclose(fast.data, direct, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("case", SHAPE_CASES)
+    def test_shapes_match_finite_differences(self, case):
+        rng = np.random.default_rng(6)
+        x, w, b, stride, padding = conv_operands(case, rng, np.float64)
+        x, w, b = t64(x), t64(w), t64(b)
+        out_shape = T.conv2d(x, w, b, stride, padding).shape
+        r = t64(rng.standard_normal(out_shape), requires_grad=False)
+        res = check_gradients(
+            f"conv-{case}", lambda: (T.conv2d(x, w, b, stride, padding) * r).sum(),
+            {"input": x, "weight": w, "bias": b})
+        assert res.passed, res.row()
+
+    @pytest.mark.parametrize("case", ["1-1-3-3", "cin1", "attention-1x1", "stride2-odd-width"])
+    def test_batch_matches_stacked_single_images(self, case):
+        x, w, b, stride, padding = conv_operands(case, np.random.default_rng(12))
+        x = np.concatenate([x, x[::-1] * 0.5, x + 1.0])
+        batch = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding).data
+        single = np.concatenate([
+            T.conv2d(Tensor(x[i:i + 1]), Tensor(w), Tensor(b), stride, padding).data
+            for i in range(len(x))])
+        assert batch.tobytes() == single.tobytes()
+
+    def test_memory_holds_no_column_buffer(self):
+        # A dec0.c1 layer of the desk64 net: 24 -> 8 channels at 64x64, batch 16.
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.standard_normal((16, 24, 64, 64)).astype(np.float32),
+                   requires_grad=True)
+        w = Tensor(rng.standard_normal((8, 24, 3, 3)).astype(np.float32) * 0.1,
+                   requires_grad=True)
+        g = rng.standard_normal((16, 8, 64, 64)).astype(np.float32)
+        padded_bytes = 16 * 24 * 66 * 66 * 4
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y = T.conv2d(x, w, padding=1)
+            retained = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            y._backward_fn(g)
+            backward_peak = tracemalloc.get_traced_memory()[1] - base - retained
+        finally:
+            tracemalloc.stop()
+        mib = 2 ** 20
+        assert retained <= y.data.nbytes + padded_bytes + mib, \
+            f"forward retains {retained / mib:.1f} MiB"
+        assert backward_peak <= 4 * x.data.nbytes, \
+            f"backward peaks {backward_peak / mib:.1f} MiB above that"
 
     def test_gradients_match_finite_differences(self):
         # random 2x3x8x8 input, 4x3x3x3 kernel, padding 1
