@@ -1,11 +1,10 @@
-"""Coordinate attention and the residual coordinate-attention (RICA) block.
+"""Coordinate attention.
 
 The attention module factorizes spatial attention into two 1D encodings:
 the feature map is average-pooled along each spatial axis, the pooled
 maps are fused through a shared bottleneck conv, split back, and turned
-into per-axis sigmoid gates that multiply the input. The RICA block adds
-a two-conv main path to a skip path made of coordinate attention followed
-by a 1x1 projection shortcut that matches channel counts.
+into per-axis sigmoid gates that multiply the input. The residual block
+that runs it on its skip path (RICA) lives in `cacseg.network`.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, DimensionError
 from .params import ParameterStore, kaiming_conv
 from .tensor import (
     Tensor,
@@ -119,53 +118,3 @@ def ca_forward(x: Tensor, store: ParameterStore, prefix: str, cfg: CAConfig,
     if return_maps:
         return out, AttentionMaps(a_h=a_h, a_w=a_w)
     return out
-
-
-def init_rica(store: ParameterStore, prefix: str, cin: int, cout: int,
-              cfg: CAConfig, rng: np.random.Generator, ca_enabled: bool = True) -> None:
-    """Add a RICA block's parameters under `prefix`.
-
-    With ca_enabled=False only the two-conv main path is created (the
-    plain U-Net double-conv block used by the ablated baseline).
-    """
-    store.add_param(f"{prefix}.f1.conv.weight", kaiming_conv(rng, cout, cin, 3, 3))
-    store.add_param(f"{prefix}.f1.bn.gamma", np.ones(cout, np.float32))
-    store.add_param(f"{prefix}.f1.bn.beta", np.zeros(cout, np.float32))
-    store.add_moments(f"{prefix}.f1.bn", cout)
-    store.add_param(f"{prefix}.f2.conv.weight", kaiming_conv(rng, cout, cout, 3, 3))
-    store.add_param(f"{prefix}.f2.bn.gamma", np.ones(cout, np.float32))
-    store.add_param(f"{prefix}.f2.bn.beta", np.zeros(cout, np.float32))
-    store.add_moments(f"{prefix}.f2.bn", cout)
-    if ca_enabled:
-        init_ca(store, f"{prefix}.ca", cin, cfg, rng)
-        store.add_param(f"{prefix}.pjs.conv.weight", kaiming_conv(rng, cout, cin, 1, 1))
-        store.add_param(f"{prefix}.pjs.bn.gamma", np.ones(cout, np.float32))
-        store.add_param(f"{prefix}.pjs.bn.beta", np.zeros(cout, np.float32))
-        store.add_moments(f"{prefix}.pjs.bn", cout)
-
-
-def rica_forward(x: Tensor, store: ParameterStore, prefix: str, cfg: CAConfig,
-                 training: bool, ca_enabled: bool = True) -> Tensor:
-    """Main path conv-BN-ReLU x2 plus the attention/projection skip path."""
-    main = conv2d(x, store.param(f"{prefix}.f1.conv.weight"), padding=1)
-    main = batchnorm2d(main, store.param(f"{prefix}.f1.bn.gamma"),
-                       store.param(f"{prefix}.f1.bn.beta"),
-                       store.moments(f"{prefix}.f1.bn"), training)
-    main = relu(main)
-    main = conv2d(main, store.param(f"{prefix}.f2.conv.weight"), padding=1)
-    main = batchnorm2d(main, store.param(f"{prefix}.f2.bn.gamma"),
-                       store.param(f"{prefix}.f2.bn.beta"),
-                       store.moments(f"{prefix}.f2.bn"), training)
-    main = relu(main)
-    if not ca_enabled:
-        return main
-    skip = ca_forward(x, store, f"{prefix}.ca", cfg, training)
-    skip = conv2d(skip, store.param(f"{prefix}.pjs.conv.weight"))
-    skip = batchnorm2d(skip, store.param(f"{prefix}.pjs.bn.gamma"),
-                       store.param(f"{prefix}.pjs.bn.beta"),
-                       store.moments(f"{prefix}.pjs.bn"), training)
-    if skip.shape != main.shape:
-        raise ContractError(
-            f"skip path shape {skip.shape} diverged from main path {main.shape}"
-        )
-    return main + skip

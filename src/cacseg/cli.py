@@ -13,15 +13,12 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import data as D
 from . import gradcheck as G
 from . import training as TR
 from .config import RESOLVED_NAME, Config, load_config
 from .errors import ConfigError, KitError, LabelError
 from .evaluation import (
-    DiceAccumulator,
     agatston_per_lesion,
     dice_per_slice_mean,
     dice_report_tsv,
@@ -74,6 +71,15 @@ def cmd_train(cfg: Config, args) -> int:
     return 0
 
 
+def _predictions(store, ds: D.Dataset, count: int):
+    """Eval-mode logits (C,H,W) of the first `count` samples, one at a time."""
+    for i in range(count):
+        s = ds.sample(i)
+        with no_grad():
+            logits = forward(store, Tensor(D.preprocess(s)[None]), training=False)
+        yield logits.data[0], s
+
+
 def cmd_eval(cfg: Config, args) -> int:
     out = _out_dir(args)
     arch = cfg.arch()
@@ -84,30 +90,13 @@ def cmd_eval(cfg: Config, args) -> int:
     test_ds = _dataset(cfg, "data.test_dir")
     cfg.dump(out / RESOLVED_NAME)
     if cfg["eval.per_slice"]:
-        pairs = []
-        for i in range(len(test_ds)):
-            s = test_ds.sample(i)
-            x = Tensor(D.preprocess(s)[None])
-            with no_grad():
-                logits = forward(store, x, training=False)
-            pairs.append((logits.data[0].argmax(axis=0), s.mask))
-        dice = dice_per_slice_mean(pairs)
-        body = ("\t".join(f"dice_{n}" for n in D.CLASS_NAMES) + "\n"
-                + "\t".join(f"{v:.6f}" for v in dice) + "\n")
+        dice = dice_per_slice_mean((logits.argmax(axis=0), s.mask) for logits, s
+                                   in _predictions(store, test_ds, len(test_ds)))
         mode = "per-slice mean"
     else:
-        acc = DiceAccumulator()
-        batch = cfg["train.batch_size"]
-        for start in range(0, len(test_ds), batch):
-            samples = [test_ds.sample(i)
-                       for i in range(start, min(start + batch, len(test_ds)))]
-            x = Tensor(np.stack([D.preprocess(s) for s in samples]))
-            with no_grad():
-                logits = forward(store, x, training=False)
-            acc.update(logits.data.argmax(axis=1),
-                       np.stack([s.mask for s in samples]))
-        body = dice_report_tsv(acc.report())
+        dice = TR.evaluate_dice(store, test_ds, cfg["train.batch_size"])
         mode = "global counts"
+    body = dice_report_tsv(dice)
     path = out / "dice.tsv"
     path.write_text(body, encoding="utf-8")
     print(f"dice report ({mode}): {path}")
@@ -126,15 +115,11 @@ def cmd_infer(cfg: Config, args) -> int:
     if not in_dir:
         raise ConfigError("infer.input_dir must point to a dataset directory")
     ds = D.Dataset(in_dir)
-    limit = cfg["infer.limit"] or len(ds)
+    count = min(cfg["infer.limit"] or len(ds), len(ds))
     cfg.dump(out / RESOLVED_NAME)
-    for i in range(min(limit, len(ds))):
-        s = ds.sample(i)
-        x = Tensor(D.preprocess(s)[None])
-        with no_grad():
-            logits = forward(store, x, training=False)
-        export_prediction(logits.data[0], out / s.slice_id, hu_image=s.image)
-    print(f"wrote {min(limit, len(ds))} predictions to {out}")
+    for logits, s in _predictions(store, ds, count):
+        export_prediction(logits, out / s.slice_id, hu_image=s.image)
+    print(f"wrote {count} predictions to {out}")
     return 0
 
 

@@ -44,9 +44,6 @@ class DiceReport:
     intersection: np.ndarray  # (6,) int64
     both_absent: np.ndarray   # (6,) bool; Dice reported as 1 by convention
 
-    def mean_over(self, classes) -> float:
-        return float(np.mean([self.dice[c] for c in classes]))
-
 
 def _check_masks(pred: np.ndarray, true: np.ndarray):
     pred = np.asarray(pred)
@@ -237,8 +234,8 @@ def export_prediction(logits, dest_stem, hu_image=None) -> tuple:
     return mask_path, ppm_path
 
 
-def dice_report_tsv(report: DiceReport) -> str:
-    """TSV rendering matching the metrics-log column naming convention."""
+def dice_report_tsv(dice: np.ndarray) -> str:
+    """TSV rendering of a per-class Dice vector, metrics-log column naming."""
     header = "\t".join(f"dice_{name}" for name in CLASS_NAMES)
-    values = "\t".join(f"{report.dice[i]:.6f}" for i in range(NUM_CLASSES))
+    values = "\t".join(f"{dice[i]:.6f}" for i in range(NUM_CLASSES))
     return header + "\n" + values + "\n"

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from . import losses as L
 from . import network, tensor as T
-from .attention import CAConfig, ca_forward, init_ca, init_rica, rica_forward
-from .network import ArchConfig
+from .attention import CAConfig, ca_forward, init_ca
+from .network import ArchConfig, init_rica, rica_forward
 from .params import ParameterStore
 from .tensor import Tensor, record_switches
 
@@ -106,223 +106,113 @@ def check_gradients(name: str, f: Callable[[], Tensor], leaves: Dict[str, Tensor
     return CheckResult(name, max_rel, tol, checked, excluded_total)
 
 
-def _t(rng, *shape, scale=1.0) -> Tensor:
-    return Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
-
-
-def _readout(rng, out: Tensor) -> Tensor:
-    r = Tensor(rng.standard_normal(out.shape))
-    return (out * r).sum()
-
-
 # -- elementary and spatial op checks -----------------------------------------
+
+
+def _normal(*shape, scale=1.0):
+    return lambda rng: rng.standard_normal(shape) * scale
+
+
+def _uniform(lo, hi, *shape):
+    return lambda rng: rng.uniform(lo, hi, shape)
+
+
+def _running_moments(rng) -> T.RunningMoments:
+    state = T.RunningMoments(3, dtype=np.float64)
+    state.mean[:] = rng.standard_normal(3)
+    state.var[:] = rng.uniform(0.5, 2.0, 3)
+    return state
+
+
+@dataclass(frozen=True)
+class OpCase:
+    """One op check on draws from `default_rng(seed + offset)`.
+
+    The `leaves` (name, draw) pairs are drawn first, in order, and are
+    differentiated; `fixed` pairs are drawn next and are not. The readout
+    weights come last, shaped like the op's output, from the same stream
+    or, when `readout_offset` is set, from `default_rng(seed +
+    readout_offset)`.
+    """
+
+    offset: int
+    leaves: tuple
+    op: Callable[..., Tensor]
+    fixed: tuple = ()
+    readout_offset: Optional[int] = None
+
+
+_BINARY = (("a", _normal(2, 3, 4, 4)), ("b", _normal(1, 3, 1, 4)))  # broadcasts b
+_CONV = (("input", _normal(2, 3, 8, 8)), ("weight", _normal(4, 3, 3, 3, scale=0.5)),
+         ("bias", _normal(4)))
+_CONV_STRIDE = (("input", _normal(1, 2, 9, 9)),
+                ("weight", _normal(3, 2, 3, 3, scale=0.5)), ("bias", _normal(3)))
+_BN = (("input", _normal(2, 3, 4, 4)), ("gamma", _uniform(0.5, 1.5, 3)),
+       ("beta", _normal(3)))
+_POOL_IN = (("x", _normal(1, 2, 4, 4)),)
+
+OP_CASES: dict[str, OpCase] = {
+    "add": OpCase(1, _BINARY, lambda a, b: a + b),
+    "sub": OpCase(1, _BINARY, lambda a, b: a - b),
+    "mul": OpCase(1, _BINARY, lambda a, b: a * b),
+    "div": OpCase(2, (("a", _normal(2, 3, 4, 4)), ("b", _uniform(0.5, 2.0, 1, 3, 1, 4))),
+                  lambda a, b: a / b),
+    "pow": OpCase(3, (("x", _uniform(0.3, 2.0, 3, 5)),), lambda x: x.pow(1.7)),
+    "exp": OpCase(4, (("x", _normal(3, 5)),), lambda x: x.exp()),
+    "log": OpCase(5, (("x", _uniform(0.2, 3.0, 3, 5)),), lambda x: x.log()),
+    "sqrt": OpCase(6, (("x", _uniform(0.2, 3.0, 3, 5)),), lambda x: x.sqrt()),
+    "clip": OpCase(7, (("x", _uniform(-2.0, 2.0, 4, 6)),), lambda x: x.clip(-0.9, 1.1)),
+    "sum": OpCase(8, (("x", _normal(2, 3, 4)),), lambda x: x.sum(axis=1)),
+    "mean": OpCase(9, (("x", _normal(2, 3, 4)),),
+                   lambda x: x.mean(axis=1, keepdims=True)),
+    "reshape": OpCase(10, (("x", _normal(2, 3, 4)),), lambda x: x.reshape(6, 4)),
+    "transpose": OpCase(11, (("x", _normal(2, 3, 4, 5)),),
+                        lambda x: x.transpose((0, 1, 3, 2))),
+    "narrow": OpCase(12, (("x", _normal(2, 3, 6, 2)),), lambda x: x.narrow(2, 1, 3)),
+    "concat_channels": OpCase(13, (("a", _normal(2, 3, 4, 4)), ("b", _normal(2, 2, 4, 4))),
+                              T.concat_channels),
+    "relu": OpCase(14, (("x", _normal(4, 8)),), T.relu),
+    "sigmoid": OpCase(15, (("x", _normal(4, 8, scale=2.0)),), T.sigmoid),
+    "softmax_channel": OpCase(16, (("x", _normal(2, 6, 3, 3)),), T.softmax_channel),
+    "conv2d": OpCase(17, _CONV, lambda input, weight, bias:
+                     T.conv2d(input, weight, bias, padding=1)),
+    "conv2d_stride2": OpCase(18, _CONV_STRIDE, lambda input, weight, bias:
+                             T.conv2d(input, weight, bias, stride=2)),
+    "batchnorm2d_train": OpCase(19, _BN, lambda input, gamma, beta: T.batchnorm2d(
+        input, gamma, beta, T.RunningMoments(3, dtype=np.float64), True)),
+    "batchnorm2d_eval": OpCase(20, _BN, lambda input, gamma, beta, state:
+                               T.batchnorm2d(input, gamma, beta, state, False),
+                               fixed=(("state", _running_moments),)),
+    "maxpool2": OpCase(21, (("x", _normal(1, 2, 8, 8)),), T.maxpool2),
+    "upsample_bilinear2": OpCase(22, _POOL_IN, T.upsample_bilinear2),
+    "directional_avgpool_h": OpCase(23, _POOL_IN,
+                                    lambda x: T.directional_avgpool(x, "height"),
+                                    readout_offset=24),
+    "directional_avgpool_w": OpCase(23, _POOL_IN,
+                                    lambda x: T.directional_avgpool(x, "width"),
+                                    readout_offset=24),
+}
+
+
+def check_op(name: str, seed: int = 0) -> CheckResult:
+    """Finite-difference check of one OP_CASES entry."""
+    case = OP_CASES[name]
+    rng = np.random.default_rng(seed + case.offset)
+    leaves = {k: Tensor(draw(rng), requires_grad=True) for k, draw in case.leaves}
+    fixed = {k: draw(rng) for k, draw in case.fixed}
+    out_shape = case.op(**leaves, **fixed).shape
+    if case.readout_offset is not None:
+        rng = np.random.default_rng(seed + case.readout_offset)
+    r = Tensor(rng.standard_normal(out_shape))
+    return check_gradients(name, lambda: (case.op(**leaves, **fixed) * r).sum(), leaves)
 
 
 def check_ops(seed: int = 0) -> list[CheckResult]:
     """Finite-difference checks for every differentiable engine op."""
-    results = []
-    rng = np.random.default_rng(seed)
-
-    def add_case(name, make, tol=OP_TOL):
-        leaves, f = make()
-        results.append(check_gradients(name, f, leaves, tol=tol))
-
-    def binary(op):
-        def make():
-            rng_l = np.random.default_rng(seed + 1)
-            a = _t(rng_l, 2, 3, 4, 4)
-            b = _t(rng_l, 1, 3, 1, 4)  # exercises broadcasting
-            r = Tensor(rng_l.standard_normal((2, 3, 4, 4)))
-            return {"a": a, "b": b}, lambda: (op(a, b) * r).sum()
-        return make
-
-    add_case("add", binary(lambda a, b: a + b))
-    add_case("sub", binary(lambda a, b: a - b))
-    add_case("mul", binary(lambda a, b: a * b))
-
-    def make_div():
-        rng_l = np.random.default_rng(seed + 2)
-        a = _t(rng_l, 2, 3, 4, 4)
-        b = Tensor(rng_l.uniform(0.5, 2.0, (1, 3, 1, 4)), requires_grad=True)
-        r = Tensor(rng_l.standard_normal((2, 3, 4, 4)))
-        return {"a": a, "b": b}, lambda: (a / b * r).sum()
-    add_case("div", make_div)
-
-    def make_pow():
-        rng_l = np.random.default_rng(seed + 3)
-        x = Tensor(rng_l.uniform(0.3, 2.0, (3, 5)), requires_grad=True)
-        r = Tensor(rng_l.standard_normal((3, 5)))
-        return {"x": x}, lambda: (x.pow(1.7) * r).sum()
-    add_case("pow", make_pow)
-
-    def make_exp():
-        rng_l = np.random.default_rng(seed + 4)
-        x = _t(rng_l, 3, 5)
-        r = Tensor(rng_l.standard_normal((3, 5)))
-        return {"x": x}, lambda: (x.exp() * r).sum()
-    add_case("exp", make_exp)
-
-    def make_log():
-        rng_l = np.random.default_rng(seed + 5)
-        x = Tensor(rng_l.uniform(0.2, 3.0, (3, 5)), requires_grad=True)
-        r = Tensor(rng_l.standard_normal((3, 5)))
-        return {"x": x}, lambda: (x.log() * r).sum()
-    add_case("log", make_log)
-
-    def make_sqrt():
-        rng_l = np.random.default_rng(seed + 6)
-        x = Tensor(rng_l.uniform(0.2, 3.0, (3, 5)), requires_grad=True)
-        r = Tensor(rng_l.standard_normal((3, 5)))
-        return {"x": x}, lambda: (x.sqrt() * r).sum()
-    add_case("sqrt", make_sqrt)
-
-    def make_clip():
-        rng_l = np.random.default_rng(seed + 7)
-        x = Tensor(rng_l.uniform(-2.0, 2.0, (4, 6)), requires_grad=True)
-        r = Tensor(rng_l.standard_normal((4, 6)))
-        return {"x": x}, lambda: (x.clip(-0.9, 1.1) * r).sum()
-    add_case("clip", make_clip)
-
-    def make_sum():
-        rng_l = np.random.default_rng(seed + 8)
-        x = _t(rng_l, 2, 3, 4)
-        r = Tensor(rng_l.standard_normal((2, 4)))
-        return {"x": x}, lambda: (x.sum(axis=1) * r).sum()
-    add_case("sum", make_sum)
-
-    def make_mean():
-        rng_l = np.random.default_rng(seed + 9)
-        x = _t(rng_l, 2, 3, 4)
-        r = Tensor(rng_l.standard_normal((2, 1, 4)))
-        return {"x": x}, lambda: (x.mean(axis=1, keepdims=True) * r).sum()
-    add_case("mean", make_mean)
-
-    def make_reshape():
-        rng_l = np.random.default_rng(seed + 10)
-        x = _t(rng_l, 2, 3, 4)
-        r = Tensor(rng_l.standard_normal((6, 4)))
-        return {"x": x}, lambda: (x.reshape(6, 4) * r).sum()
-    add_case("reshape", make_reshape)
-
-    def make_transpose():
-        rng_l = np.random.default_rng(seed + 11)
-        x = _t(rng_l, 2, 3, 4, 5)
-        r = Tensor(rng_l.standard_normal((2, 3, 5, 4)))
-        return {"x": x}, lambda: (x.transpose((0, 1, 3, 2)) * r).sum()
-    add_case("transpose", make_transpose)
-
-    def make_narrow():
-        rng_l = np.random.default_rng(seed + 12)
-        x = _t(rng_l, 2, 3, 6, 2)
-        r = Tensor(rng_l.standard_normal((2, 3, 3, 2)))
-        return {"x": x}, lambda: (x.narrow(2, 1, 3) * r).sum()
-    add_case("narrow", make_narrow)
-
-    def make_concat():
-        rng_l = np.random.default_rng(seed + 13)
-        a = _t(rng_l, 2, 3, 4, 4)
-        b = _t(rng_l, 2, 2, 4, 4)
-        r = Tensor(rng_l.standard_normal((2, 5, 4, 4)))
-        return ({"a": a, "b": b},
-                lambda: (T.concat_channels(a, b) * r).sum())
-    add_case("concat_channels", make_concat)
-
-    def make_relu():
-        rng_l = np.random.default_rng(seed + 14)
-        x = _t(rng_l, 4, 8)
-        r = Tensor(rng_l.standard_normal((4, 8)))
-        return {"x": x}, lambda: (T.relu(x) * r).sum()
-    add_case("relu", make_relu)
-
-    def make_sigmoid():
-        rng_l = np.random.default_rng(seed + 15)
-        x = _t(rng_l, 4, 8, scale=2.0)
-        r = Tensor(rng_l.standard_normal((4, 8)))
-        return {"x": x}, lambda: (T.sigmoid(x) * r).sum()
-    add_case("sigmoid", make_sigmoid)
-
-    def make_softmax():
-        rng_l = np.random.default_rng(seed + 16)
-        x = _t(rng_l, 2, 6, 3, 3)
-        r = Tensor(rng_l.standard_normal((2, 6, 3, 3)))
-        return {"x": x}, lambda: (T.softmax_channel(x) * r).sum()
-    add_case("softmax_channel", make_softmax)
-
-    def make_conv():
-        rng_l = np.random.default_rng(seed + 17)
-        x = _t(rng_l, 2, 3, 8, 8)
-        w = _t(rng_l, 4, 3, 3, 3, scale=0.5)
-        b = _t(rng_l, 4)
-        r = Tensor(rng_l.standard_normal((2, 4, 8, 8)))
-        return ({"input": x, "weight": w, "bias": b},
-                lambda: (T.conv2d(x, w, b, padding=1) * r).sum())
-    add_case("conv2d", make_conv)
-
-    def make_conv_stride():
-        rng_l = np.random.default_rng(seed + 18)
-        x = _t(rng_l, 1, 2, 9, 9)
-        w = _t(rng_l, 3, 2, 3, 3, scale=0.5)
-        b = _t(rng_l, 3)
-        r = Tensor(rng_l.standard_normal((1, 3, 4, 4)))
-        return ({"input": x, "weight": w, "bias": b},
-                lambda: (T.conv2d(x, w, b, stride=2) * r).sum())
-    add_case("conv2d_stride2", make_conv_stride)
-
-    def make_bn_train():
-        rng_l = np.random.default_rng(seed + 19)
-        x = _t(rng_l, 2, 3, 4, 4)
-        gamma = Tensor(rng_l.uniform(0.5, 1.5, 3), requires_grad=True)
-        beta = _t(rng_l, 3)
-        state = T.RunningMoments(3, dtype=np.float64)
-        r = Tensor(rng_l.standard_normal((2, 3, 4, 4)))
-        return ({"input": x, "gamma": gamma, "beta": beta},
-                lambda: (T.batchnorm2d(x, gamma, beta, state, training=True) * r).sum())
-    add_case("batchnorm2d_train", make_bn_train)
-
-    def make_bn_eval():
-        rng_l = np.random.default_rng(seed + 20)
-        x = _t(rng_l, 2, 3, 4, 4)
-        gamma = Tensor(rng_l.uniform(0.5, 1.5, 3), requires_grad=True)
-        beta = _t(rng_l, 3)
-        state = T.RunningMoments(3, dtype=np.float64)
-        state.mean[:] = rng_l.standard_normal(3)
-        state.var[:] = rng_l.uniform(0.5, 2.0, 3)
-        r = Tensor(rng_l.standard_normal((2, 3, 4, 4)))
-        return ({"input": x, "gamma": gamma, "beta": beta},
-                lambda: (T.batchnorm2d(x, gamma, beta, state, training=False) * r).sum())
-    add_case("batchnorm2d_eval", make_bn_eval)
-
-    def make_maxpool():
-        rng_l = np.random.default_rng(seed + 21)
-        x = _t(rng_l, 1, 2, 8, 8)
-        r = Tensor(rng_l.standard_normal((1, 2, 4, 4)))
-        return {"x": x}, lambda: (T.maxpool2(x) * r).sum()
-    add_case("maxpool2", make_maxpool)
-
-    def make_upsample():
-        rng_l = np.random.default_rng(seed + 22)
-        x = _t(rng_l, 1, 2, 4, 4)
-        r = Tensor(rng_l.standard_normal((1, 2, 8, 8)))
-        return {"x": x}, lambda: (T.upsample_bilinear2(x) * r).sum()
-    add_case("upsample_bilinear2", make_upsample)
-
-    for axis in ("height", "width"):
-        def make_davg(ax=axis):
-            rng_l = np.random.default_rng(seed + 23)
-            x = _t(rng_l, 1, 2, 4, 4)
-            shape = (1, 2, 1, 4) if ax == "height" else (1, 2, 4, 1)
-            r = Tensor(np.random.default_rng(seed + 24).standard_normal(shape))
-            return {"x": x}, lambda: (T.directional_avgpool(x, ax) * r).sum()
-        add_case(f"directional_avgpool_{axis[0]}", make_davg)
-
-    return results
+    return [check_op(name, seed) for name in OP_CASES]
 
 
 # -- module-level checks -------------------------------------------------
-
-
-def _store_leaves(store: ParameterStore) -> Dict[str, Tensor]:
-    return dict(store.items())
 
 
 def check_attention(seed: int = 0) -> list[CheckResult]:
@@ -336,7 +226,7 @@ def check_attention(seed: int = 0) -> list[CheckResult]:
     store64 = store.to_double()
     x = Tensor(rng.standard_normal((1, 3, 8, 8)), requires_grad=True)
     r = Tensor(rng.standard_normal((1, 3, 8, 8)))
-    leaves = {"input": x, **_store_leaves(store64)}
+    leaves = {"input": x, **dict(store64.items())}
     results.append(check_gradients(
         "ca_forward",
         lambda: (ca_forward(x, store64, "ca", cfg, training=True) * r).sum(),
@@ -347,7 +237,7 @@ def check_attention(seed: int = 0) -> list[CheckResult]:
     store64 = store.to_double()
     x = Tensor(rng.standard_normal((1, 3, 8, 8)), requires_grad=True)
     r = Tensor(rng.standard_normal((1, 8, 8, 8)))
-    leaves = {"input": x, **_store_leaves(store64)}
+    leaves = {"input": x, **dict(store64.items())}
     results.append(check_gradients(
         "rica_forward",
         lambda: (rica_forward(x, store64, "blk", cfg, training=True) * r).sum(),
@@ -363,7 +253,7 @@ def check_network(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed + 100)
     x = Tensor(rng.standard_normal((1, 1, 16, 16)), requires_grad=True)
     r = Tensor(rng.standard_normal((1, arch.num_classes, 16, 16)))
-    leaves = {"input": x, **_store_leaves(store)}
+    leaves = {"input": x, **dict(store.items())}
     return check_gradients(
         "network_end_to_end",
         lambda: (network.forward(store, x, training=True) * r).sum(),

@@ -4,9 +4,11 @@ The same builder produces the full attention network and, with
 ca_enabled=False, the plain U-Net baseline (RICA skip paths and decoder
 attention modules removed, strictly fewer parameters).
 
-Encoder level k outputs base*2^k channels; level `levels` is the
-bottleneck. Decoder level k upsamples, applies a standalone attention
-module, concatenates the encoder skip, and runs two conv-BN-ReLU layers.
+Encoder level k is a RICA block with base*2^k output channels: two
+conv-BN-ReLU layers plus a skip path of coordinate attention and a 1x1
+conv-BN projection. Level `levels` is the bottleneck. Decoder level k
+upsamples, applies a standalone attention module, concatenates the
+encoder skip, and runs two conv-BN-ReLU layers.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import CAConfig, ca_forward, init_ca, init_rica, rica_forward
-from .errors import ConfigError, DimensionError
+from .attention import CAConfig, ca_forward, init_ca
+from .errors import ConfigError, ContractError, DimensionError
 from .params import ParameterStore, kaiming_conv, load_checkpoint
 from .tensor import (
     Tensor,
@@ -46,20 +48,50 @@ class ArchConfig:
         self.ca.validate()
 
 
-def _init_convbn(store: ParameterStore, prefix: str, cin: int, cout: int,
-                 rng: np.random.Generator) -> None:
-    store.add_param(f"{prefix}.conv.weight", kaiming_conv(rng, cout, cin, 3, 3))
+def _init_conv_bn(store: ParameterStore, prefix: str, cin: int, cout: int, k: int,
+                  rng: np.random.Generator) -> None:
+    store.add_param(f"{prefix}.conv.weight", kaiming_conv(rng, cout, cin, k, k))
     store.add_param(f"{prefix}.bn.gamma", np.ones(cout, np.float32))
     store.add_param(f"{prefix}.bn.beta", np.zeros(cout, np.float32))
     store.add_moments(f"{prefix}.bn", cout)
 
 
-def _convbnrelu(x: Tensor, store: ParameterStore, prefix: str, training: bool) -> Tensor:
-    x = conv2d(x, store.param(f"{prefix}.conv.weight"), padding=1)
-    x = batchnorm2d(x, store.param(f"{prefix}.bn.gamma"),
-                    store.param(f"{prefix}.bn.beta"),
-                    store.moments(f"{prefix}.bn"), training)
-    return relu(x)
+def _conv_bn(x: Tensor, store: ParameterStore, prefix: str, training: bool,
+             padding: int = 1) -> Tensor:
+    x = conv2d(x, store.param(f"{prefix}.conv.weight"), padding=padding)
+    return batchnorm2d(x, store.param(f"{prefix}.bn.gamma"),
+                       store.param(f"{prefix}.bn.beta"),
+                       store.moments(f"{prefix}.bn"), training)
+
+
+def init_rica(store: ParameterStore, prefix: str, cin: int, cout: int,
+              cfg: CAConfig, rng: np.random.Generator, ca_enabled: bool = True) -> None:
+    """Add a RICA block's parameters under `prefix`.
+
+    With ca_enabled=False only the two-conv main path is created (the
+    plain U-Net double-conv block used by the ablated baseline).
+    """
+    _init_conv_bn(store, f"{prefix}.f1", cin, cout, 3, rng)
+    _init_conv_bn(store, f"{prefix}.f2", cout, cout, 3, rng)
+    if ca_enabled:
+        init_ca(store, f"{prefix}.ca", cin, cfg, rng)
+        _init_conv_bn(store, f"{prefix}.pjs", cin, cout, 1, rng)
+
+
+def rica_forward(x: Tensor, store: ParameterStore, prefix: str, cfg: CAConfig,
+                 training: bool, ca_enabled: bool = True) -> Tensor:
+    """Main path conv-BN-ReLU x2 plus the attention/projection skip path."""
+    main = relu(_conv_bn(x, store, f"{prefix}.f1", training))
+    main = relu(_conv_bn(main, store, f"{prefix}.f2", training))
+    if not ca_enabled:
+        return main
+    skip = ca_forward(x, store, f"{prefix}.ca", cfg, training)
+    skip = _conv_bn(skip, store, f"{prefix}.pjs", training, padding=0)
+    if skip.shape != main.shape:
+        raise ContractError(
+            f"skip path shape {skip.shape} diverged from main path {main.shape}"
+        )
+    return main + skip
 
 
 def build(arch: ArchConfig, rng_seed: int) -> ParameterStore:
@@ -85,8 +117,8 @@ def build(arch: ArchConfig, rng_seed: int) -> ParameterStore:
         c_skip = arch.base_channels * (2 ** k)
         if arch.ca_enabled:
             init_ca(store, f"dec{k}.ca", c_up, arch.ca, rng)
-        _init_convbn(store, f"dec{k}.c1", c_up + c_skip, c_skip, rng)
-        _init_convbn(store, f"dec{k}.c2", c_skip, c_skip, rng)
+        _init_conv_bn(store, f"dec{k}.c1", c_up + c_skip, c_skip, 3, rng)
+        _init_conv_bn(store, f"dec{k}.c2", c_skip, c_skip, 3, rng)
 
     store.add_param("head.conv.weight",
                     kaiming_conv(rng, arch.num_classes, arch.base_channels, 1, 1))
@@ -123,8 +155,8 @@ def forward(store: ParameterStore, batch: Tensor, training: bool = False) -> Ten
         if arch.ca_enabled:
             x = ca_forward(x, store, f"dec{k}.ca", arch.ca, training)
         x = concat_channels(x, skips[k])
-        x = _convbnrelu(x, store, f"dec{k}.c1", training)
-        x = _convbnrelu(x, store, f"dec{k}.c2", training)
+        x = relu(_conv_bn(x, store, f"dec{k}.c1", training))
+        x = relu(_conv_bn(x, store, f"dec{k}.c2", training))
 
     return conv2d(x, store.param("head.conv.weight"), store.param("head.conv.bias"))
 

@@ -12,6 +12,8 @@ tensor. Round trips are bit-exact.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
@@ -84,15 +86,6 @@ class ParameterStore:
         for t in self._params.values():
             t.grad = None
 
-    def clone(self) -> "ParameterStore":
-        out = ParameterStore()
-        for name, t in self._params.items():
-            out.add_param(name, t.data.copy())
-        for name, m in self._moments.items():
-            out._moments[name] = m.copy()
-        out.arch = self.arch
-        return out
-
     def to_double(self) -> "ParameterStore":
         """64-bit shadow copy for the gradient checker's reference path."""
         out = ParameterStore()
@@ -156,10 +149,22 @@ def save_checkpoint(path, entries: dict[str, np.ndarray]) -> None:
         blob += struct.pack("<H", len(encoded))
         blob += encoded
         blob += tns_encode(np.asarray(arr))
+    write_atomic(path, bytes(blob))
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to `<path>.tmp`, then rename it over `path`.
+
+    A failed write leaves `path` as it was and removes the temporary file.
+    """
+    tmp = f"{path}.tmp"
     try:
-        with open(path, "wb") as f:
-            f.write(bytes(blob))
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
     except OSError as e:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
         raise DataIOError(f"cannot write {path}: {e}") from e
 
 

@@ -18,7 +18,7 @@ from .errors import ConfigError, ContractError, NumericError
 from .evaluation import DiceAccumulator
 from .losses import LossConfig, class_weights_from_counts, loss_by_variant
 from .network import ArchConfig, build, forward, load_model
-from .params import ParameterStore, load_checkpoint, save_checkpoint
+from .params import ParameterStore, save_checkpoint, write_atomic
 from .tensor import Tensor, no_grad
 
 METRICS_NAME = "metrics.tsv"
@@ -173,6 +173,13 @@ class TrainResult:
     rows: list
 
 
+def _write_metrics(path, rows) -> None:
+    lines = [METRICS_HEADER]
+    lines += ["\t".join([str(epoch)] + [repr(v) for v in values])
+              for epoch, *values in rows]
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+
+
 def _save_training_state(path, store: ParameterStore, state: AdamState,
                          next_epoch: int, best_score: float,
                          best_epoch: int) -> None:
@@ -214,6 +221,9 @@ def train(arch: ArchConfig, train_ds: D.Dataset, val_ds: D.Dataset,
     Dice; every value in repr form, so it parses back to the exact
     float), the best-validation checkpoint (selected by mean lesion-class
     Dice), and a resumable last checkpoint carrying optimizer state.
+    metrics.tsv and the last checkpoint are rewritten at the end of every
+    epoch, so a run that stops early leaves the epochs it finished.
+    metrics.tsv holds the epochs of this call only, also on resume.
     """
     train_cfg.validate()
     loss_cfg.validate()
@@ -234,6 +244,8 @@ def train(arch: ArchConfig, train_ds: D.Dataset, val_ds: D.Dataset,
     loss_fn = loss_by_variant(loss_cfg)
     n = len(train_ds)
     rows = []
+    metrics_path = out / METRICS_NAME
+    _write_metrics(metrics_path, rows)
 
     for epoch in range(start_epoch, train_cfg.epochs):
         lr = lr_at(epoch, train_cfg)
@@ -273,12 +285,8 @@ def train(arch: ArchConfig, train_ds: D.Dataset, val_ds: D.Dataset,
             save_checkpoint(out / BEST_CHECKPOINT, store.state_entries())
         _save_training_state(out / LAST_CHECKPOINT, store, state, epoch + 1,
                              best_score, best_epoch)
+        _write_metrics(metrics_path, rows)
 
-    metrics_path = out / METRICS_NAME
-    with open(metrics_path, "w", encoding="utf-8") as f:
-        f.write(METRICS_HEADER + "\n")
-        for epoch, *values in rows:
-            f.write("\t".join([str(epoch)] + [repr(v) for v in values]) + "\n")
     return TrainResult(metrics_path=metrics_path,
                        best_checkpoint=out / BEST_CHECKPOINT,
                        last_checkpoint=out / LAST_CHECKPOINT,

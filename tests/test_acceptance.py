@@ -1,8 +1,9 @@
 """Acceptance criteria, one test per criterion, each printing a verdict line.
 
-The two trend criteria (loss ablation and attention ablation) train
-several small networks on a fixed-seed 64x64 phantom set and dominate the
-runtime; module-scoped fixtures share those runs.
+The two trend criteria (loss ablation and attention ablation) are not
+implemented yet; ROADMAP direction 5 adds them. The overfit smoke test
+(criterion 6) and the gradient table (criterion 1) take most of the
+runtime.
 """
 
 import time

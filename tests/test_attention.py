@@ -3,16 +3,10 @@
 import numpy as np
 import pytest
 
-from cacseg.attention import (
-    AttentionMaps,
-    CAConfig,
-    ca_forward,
-    init_ca,
-    init_rica,
-    rica_forward,
-)
+from cacseg.attention import AttentionMaps, CAConfig, ca_forward, init_ca
 from cacseg.errors import ConfigError, DimensionError
-from cacseg.gradcheck import check_attention
+from cacseg.gradcheck import NET_TOL, check_gradients
+from cacseg.network import init_rica, rica_forward
 from cacseg.params import ParameterStore
 from cacseg.tensor import RunningMoments, Tensor, batchnorm2d, conv2d
 
@@ -103,6 +97,21 @@ class TestCAForward:
         y = ca_forward(x, store, "ca", CFG, training=True, attention_hook=ones_hook)
         np.testing.assert_array_equal(y.data, x.data)
 
+    def test_hardswish_gates_in_open_interval_and_gradients_match(self):
+        cfg = CAConfig(reduction_ratio=4, min_mid_channels=2, activation="hardswish")
+        store = make_ca_store(seed=11, cfg=cfg).to_double()
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.standard_normal((1, 3, 8, 8)), requires_grad=True)
+        r = Tensor(rng.standard_normal((1, 3, 8, 8)))
+        _, maps = ca_forward(x, store, "ca", cfg, training=True, return_maps=True)
+        for m in (maps.a_h.data, maps.a_w.data):
+            assert (m > 0.0).all() and (m < 1.0).all()
+        res = check_gradients(
+            "ca_forward_hardswish",
+            lambda: (ca_forward(x, store, "ca", cfg, training=True) * r).sum(),
+            {"input": x, **dict(store.items())}, tol=NET_TOL)
+        assert res.passed, res.row()
+
     def test_channel_mismatch_rejected(self):
         store = make_ca_store(channels=3)
         x = Tensor(np.zeros((1, 4, 4, 4), np.float32))
@@ -160,9 +169,3 @@ class TestRicaForward:
                          "blk.pjs.conv.weight", "blk.ca.conv1.weight",
                          "blk.ca.convh.weight", "blk.ca.convw.weight"):
             assert expected in names
-
-
-class TestGradients:
-    def test_ca_and_rica_match_finite_differences(self):
-        for res in check_attention(seed=0):
-            assert res.passed, res.row()

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from cacseg import data as D
+from cacseg import training as TR
 from cacseg.cli import main
 from cacseg.config import Config, load_config
 from cacseg.errors import ConfigError
-from cacseg.tensor import load_tns, save_tns
+from cacseg.evaluation import dice_per_slice_mean
+from cacseg.network import build, forward
+from cacseg.params import save_checkpoint
+from cacseg.tensor import Tensor, load_tns, save_tns
 
 
 class TestConfig:
@@ -131,6 +135,29 @@ class TestCli:
         assert rc == 0
         assert (inf / "slice_00000.tns").is_file()
         assert (inf / "slice_00000.ppm").is_file()
+
+    @pytest.mark.parametrize("per_slice", [False, True])
+    def test_eval_report_matches_library_dice(self, micro_dataset, tmp_path, per_slice):
+        store = build(load_config(None, TINY_NET[1::2]).arch(), rng_seed=3)
+        ckpt = tmp_path / "net.rckp"
+        save_checkpoint(ckpt, store.state_entries())
+        rc = main(["eval", "--out", str(tmp_path / "eval"),
+                   "--set", f"eval.checkpoint={ckpt}",
+                   "--set", f"data.test_dir={micro_dataset}",
+                   "--set", f"eval.per_slice={str(per_slice).lower()}", *TINY_NET])
+        assert rc == 0
+        ds = D.Dataset(micro_dataset)
+        if per_slice:
+            pairs = []
+            for i in range(len(ds)):
+                s = ds.sample(i)
+                logits = forward(store, Tensor(D.preprocess(s)[None]), training=False)
+                pairs.append((logits.data[0].argmax(axis=0), s.mask))
+            expected = dice_per_slice_mean(pairs)
+        else:
+            expected = TR.evaluate_dice(store, ds)
+        values = (tmp_path / "eval" / "dice.tsv").read_text().splitlines()[1]
+        assert values.split("\t") == [f"{v:.6f}" for v in expected]
 
     def test_score_command_matches_hand_value(self, tmp_path):
         mask = np.zeros((8, 8), np.uint8)

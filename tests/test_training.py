@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from cacseg import data as D
+from cacseg import params
 from cacseg import training as TR
 from cacseg.attention import CAConfig
-from cacseg.errors import ConfigError, ContractError
+from cacseg.errors import ConfigError, ContractError, DataIOError, NumericError
 from cacseg.losses import LossConfig
 from cacseg.network import ArchConfig, build, forward, load_model
 from cacseg.params import ParameterStore
@@ -199,3 +200,61 @@ class TestTrainLoop:
         for row in result.rows:
             for dice in row[3:]:
                 assert 0.0 <= dice <= 1.0
+
+
+class TestPersistence:
+    def test_failed_checkpoint_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / TR.LAST_CHECKPOINT
+        params.save_checkpoint(path, {"w": np.arange(4, dtype=np.float32)})
+        before = path.read_bytes()
+        real_open = open
+
+        class HalfWriter:
+            """File object that writes half of what it is given, then fails."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[:len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(params, "open", lambda *a, **k: HalfWriter(real_open(*a, **k)),
+                            raising=False)
+        with pytest.raises(DataIOError, match="No space left"):
+            params.save_checkpoint(path, {"w": np.ones(64, np.float32)})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [TR.LAST_CHECKPOINT]
+
+    def test_metrics_hold_finished_epochs_when_training_stops(self, tiny_dataset,
+                                                              tmp_path, monkeypatch):
+        # 8 slices at batch 4: loss call 5 is the first batch of epoch 2
+        real = TR.loss_by_variant
+        calls = []
+
+        def failing_loss_by_variant(cfg):
+            fn = real(cfg)
+
+            def loss(logits, targets):
+                calls.append(None)
+                if len(calls) == 5:
+                    raise NumericError("injected at epoch 2")
+                return fn(logits, targets)
+            return loss
+
+        monkeypatch.setattr(TR, "loss_by_variant", failing_loss_by_variant)
+        with pytest.raises(NumericError):
+            TR.train(TINY_ARCH, tiny_dataset, tiny_dataset, LossConfig(),
+                     quick_cfg(epochs=4), tmp_path, aug_cfg=D.AugmentConfig(enabled=False))
+        lines = (tmp_path / TR.METRICS_NAME).read_text().splitlines()
+        assert lines[0] == TR.METRICS_HEADER
+        assert [row.split("\t")[0] for row in lines[1:]] == ["0", "1"]
+        _, extra = load_model(tmp_path / TR.LAST_CHECKPOINT, TINY_ARCH)
+        assert int(extra["opt.epoch"][0]) == 2
