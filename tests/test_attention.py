@@ -5,7 +5,7 @@ import pytest
 
 from cacseg.attention import AttentionMaps, CAConfig, ca_forward, init_ca
 from cacseg.errors import ConfigError, DimensionError
-from cacseg.gradcheck import NET_TOL, check_gradients
+from cacseg.gradcheck import NET_TOL, check_attention, check_gradients
 from cacseg.network import init_rica, rica_forward
 from cacseg.params import ParameterStore
 from cacseg.tensor import RunningMoments, Tensor, batchnorm2d, conv2d
@@ -169,3 +169,9 @@ class TestRicaForward:
                          "blk.pjs.conv.weight", "blk.ca.conv1.weight",
                          "blk.ca.convh.weight", "blk.ca.convw.weight"):
             assert expected in names
+
+
+class TestGradients:
+    def test_ca_and_rica_match_finite_differences(self):
+        for res in check_attention(seed=0):
+            assert res.passed, res.row()
