@@ -19,6 +19,7 @@ from .data import AugmentConfig, PhantomSpec
 from .errors import ConfigError
 from .losses import VARIANTS, LossConfig, class_weights_from_counts
 from .network import ArchConfig
+from .params import write_atomic
 from .training import TrainConfig
 
 RESOLVED_NAME = "resolved.cfg"
@@ -189,7 +190,7 @@ class Config:
     def dump(self, path) -> None:
         lines = [f"{k} = {_format_value(_REGISTRY[k], self._values[k])}"
                  for k in sorted(_REGISTRY)]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
     # -- builders ---------------------------------------------------------
 

@@ -26,6 +26,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError, DataIOError, LabelError
+from .params import write_atomic
 from .tensor import load_tns, save_tns
 
 HU_LO = -150.0
@@ -318,13 +319,8 @@ def generate_phantom(spec: PhantomSpec, out_dir) -> Path:
         counts = np.bincount(sample.mask.ravel(), minlength=NUM_CLASSES)
         rows.append((img_rel, mask_rel, *counts.tolist()))
     manifest = root / MANIFEST_NAME
-    try:
-        with open(manifest, "w", encoding="utf-8") as f:
-            f.write("\t".join(MANIFEST_COLUMNS) + "\n")
-            for row in rows:
-                f.write("\t".join(str(x) for x in row) + "\n")
-    except OSError as e:
-        raise DataIOError(f"cannot write manifest {manifest}: {e}") from e
+    lines = ["\t".join(MANIFEST_COLUMNS)] + ["\t".join(str(x) for x in row) for row in rows]
+    write_atomic(manifest, ("\n".join(lines) + "\n").encode("utf-8"))
     return manifest
 
 

@@ -8,7 +8,12 @@ additively across fan-out, so ``y = x + x`` yields ``grad(x) == 2``.
 The recorded graph lives in the tensors themselves: each op output keeps
 references to its inputs plus a backward closure. ``Tensor.backward``
 topologically sorts that record and visits every op exactly once in
-reverse execution order.
+reverse execution order. It releases the graph as it goes: once an op's
+closure has run, that op's output drops its gradient, its closure and its
+inputs, so intermediate outputs and closure buffers are freed as soon as
+their last consumer is done. When ``backward`` returns only leaf grads
+remain, and a second ``backward`` through the released graph raises
+``ContractError``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import math
 import struct
 from contextlib import contextmanager
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -80,6 +85,13 @@ def record_switches():
         yield _switch_trace
     finally:
         _switch_trace = prev
+
+
+def _released(grad: np.ndarray) -> None:
+    """Closure of a node whose graph an earlier backward() has released."""
+    raise ContractError(
+        "backward through a graph already released by an earlier backward()"
+    )
 
 
 def _trace(arr: np.ndarray) -> None:
@@ -157,7 +169,14 @@ class Tensor:
     # -- backward ------------------------------------------------------
 
     def backward(self) -> None:
-        """Populate grad slots of every requires_grad tensor reachable from self."""
+        """Populate grad slots of every requires_grad leaf reachable from self.
+
+        The graph is released as the pass runs. After a non-leaf node's
+        closure has run, the node drops its ``grad``, its closure and its
+        parents, so its buffers are freed once no later closure needs them.
+        Leaves (``_backward_fn is None``) keep their grads. A later backward
+        through any released node raises ``ContractError``.
+        """
         if self.data.size != 1:
             raise ContractError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
@@ -180,9 +199,16 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+        while topo:
+            node = topo.pop()
+            fn = node._backward_fn
+            if fn is None:
+                continue
+            if node.grad is not None:
+                fn(node.grad)
+            node.grad = None
+            node._backward_fn = _released
+            node._parents = ()
 
     def _accum(self, g: np.ndarray) -> None:
         if not self.requires_grad:

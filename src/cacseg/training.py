@@ -16,7 +16,7 @@ import numpy as np
 from . import data as D
 from .errors import ConfigError, ContractError, NumericError
 from .evaluation import DiceAccumulator
-from .losses import LossConfig, class_weights_from_counts, loss_by_variant
+from .losses import LossConfig, loss_by_variant
 from .network import ArchConfig, build, forward, load_model
 from .params import ParameterStore, save_checkpoint, write_atomic
 from .tensor import Tensor, no_grad

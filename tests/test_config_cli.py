@@ -104,6 +104,21 @@ class TestCli:
         assert resolved.is_file()
         assert "data.phantom.slices = 10" in resolved.read_text()
 
+    def test_failed_resolved_config_write_keeps_previous_file(self, micro_dataset, tmp_path,
+                                                              fail_atomic_writes, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        resolved = run / "resolved.cfg"
+        Config().dump(resolved)
+        before = resolved.read_bytes()
+        fail_atomic_writes()
+        rc = main(["train", "--out", str(run), "--set", f"data.train_dir={micro_dataset}",
+                   *TINY_NET])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("io error:")
+        assert resolved.read_bytes() == before
+        assert sorted(p.name for p in run.iterdir()) == ["resolved.cfg"]
+
     def test_train_eval_infer_pipeline(self, micro_dataset, tmp_path):
         run = tmp_path / "run"
         rc = main(["train", "--out", str(run),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cacseg import data as D
-from cacseg.errors import ConfigError
+from cacseg.errors import ConfigError, DataIOError
 from cacseg.tensor import load_tns
 
 
@@ -125,6 +125,15 @@ class TestPhantom:
                 a = (tmp_path / "a" / kind / f"slice_{i:05d}.tns").read_bytes()
                 b = (tmp_path / "b" / kind / f"slice_{i:05d}.tns").read_bytes()
                 assert a == b
+
+    def test_failed_manifest_write_keeps_previous_file(self, tmp_path, fail_atomic_writes):
+        manifest = D.generate_phantom(D.PhantomSpec(slices=2, rng_seed=11, **DESK_SPEC), tmp_path)
+        before = manifest.read_bytes()
+        fail_atomic_writes()
+        with pytest.raises(DataIOError, match="No space left"):
+            D.generate_phantom(D.PhantomSpec(slices=3, rng_seed=12, **DESK_SPEC), tmp_path)
+        assert manifest.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["images", D.MANIFEST_NAME, "masks"]
 
     def test_zero_probability_masks_are_binary(self):
         spec = D.PhantomSpec(slices=6, rng_seed=3,

@@ -1,6 +1,7 @@
 """Tensor engine tests: forward semantics, gradients, serialization."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from cacseg.errors import (
     NumericError,
 )
 from cacseg.gradcheck import OP_CASES, check_gradients, check_op
+from cacseg.losses import LossConfig, class_weights_from_counts, loss_by_variant
+from cacseg.network import ArchConfig, build, forward
 from cacseg.tensor import RunningMoments, Tensor
 
 
@@ -292,6 +295,62 @@ class TestBackward:
         with T.no_grad():
             y = (x * 3.0).sum()
         assert not y.requires_grad
+
+    def test_second_backward_raises(self):
+        x = Tensor(np.array([1.0, 2.0], np.float32), requires_grad=True)
+        loss = (x * x).sum()
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        with pytest.raises(ContractError, match="already released"):
+            loss.backward()
+
+    def test_backward_through_released_subgraph_raises(self):
+        x = Tensor(np.array([1.0, 2.0], np.float32), requires_grad=True)
+        shared = x * 3.0
+        first = shared.sum()
+        second = (shared * shared).sum()
+        first.backward()
+        with pytest.raises(ContractError, match="already released"):
+            second.backward()
+
+    def test_leaf_grads_survive_and_nonleaf_grads_are_dropped(self):
+        x = Tensor(np.array([1.0, -2.0], np.float32), requires_grad=True)
+        h = x * 2.0
+        loss = (h * h).sum()
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, [8.0, -16.0])
+        assert h.grad is None and loss.grad is None
+        assert h._parents == () and loss._parents == ()
+
+    def test_desk64_step_releases_graph(self):
+        # One desk64-shaped training step: L2, base 8, batch 16, 64x64,
+        # FocalLogDice with inverse-frequency weights of a sparse mask.
+        rng = np.random.default_rng(5)
+        store = build(ArchConfig(levels=2, base_channels=8), 0)
+        x = Tensor(rng.standard_normal((16, 1, 64, 64)).astype(np.float32))
+        target = np.zeros((16, 64, 64), np.int64)
+        for i in range(16):
+            r, c = rng.integers(4, 56, size=2)
+            target[i, r:r + 6, c:c + 6] = 1 + i % 4
+        counts = np.bincount(target.ravel(), minlength=6)
+        loss_fn = loss_by_variant(LossConfig(class_weights=class_weights_from_counts(counts)))
+        mib = 2 ** 20
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            logits = forward(store, x, training=True)
+            loss = loss_fn(logits, target)
+            activation = weakref.ref(logits._parents[0].data)
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - base <= 4 * mib, f"{(after - base) / mib:.1f} MiB kept after backward"
+        assert peak - start <= 8 * mib, f"backward peaked {(peak - start) / mib:.1f} MiB above its start"
+        assert activation() is None, "a non-leaf activation outlived backward"
+        assert all(t.grad is not None for _, t in store.items())
 
 
 class TestDeterminism:

@@ -203,33 +203,13 @@ class TestTrainLoop:
 
 
 class TestPersistence:
-    def test_failed_checkpoint_write_keeps_previous_file(self, tmp_path, monkeypatch):
+    def test_failed_checkpoint_write_keeps_previous_file(self, tmp_path, fail_atomic_writes):
         path = tmp_path / TR.LAST_CHECKPOINT
         params.save_checkpoint(path, {"w": np.arange(4, dtype=np.float32)})
         before = path.read_bytes()
-        real_open = open
-
-        class HalfWriter:
-            """File object that writes half of what it is given, then fails."""
-
-            def __init__(self, f):
-                self.f = f
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.f.close()
-
-            def write(self, data):
-                self.f.write(data[:len(data) // 2])
-                raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(params, "open", lambda *a, **k: HalfWriter(real_open(*a, **k)),
-                            raising=False)
+        fail_atomic_writes()
         with pytest.raises(DataIOError, match="No space left"):
             params.save_checkpoint(path, {"w": np.ones(64, np.float32)})
-        monkeypatch.undo()
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [TR.LAST_CHECKPOINT]
 
