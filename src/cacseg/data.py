@@ -335,17 +335,29 @@ class Dataset:
         manifest = self.root / MANIFEST_NAME
         if not manifest.is_file():
             raise DataIOError(f"no {MANIFEST_NAME} in {self.root}")
-        with open(manifest, "r", encoding="utf-8") as f:
-            lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-        if not lines or lines[0].split("\t") != list(MANIFEST_COLUMNS):
+        try:
+            with open(manifest, "r", encoding="utf-8") as f:
+                lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(f, 1) if ln.strip()]
+        except UnicodeDecodeError as e:
+            raise DataIOError(f"{manifest} is not UTF-8 text: {e}") from e
+        if not lines or lines[0][1].split("\t") != list(MANIFEST_COLUMNS):
             raise DataIOError(f"{manifest} has an unexpected header")
         self.rows = []
-        for ln in lines[1:]:
+        for no, ln in lines[1:]:
             parts = ln.split("\t")
             if len(parts) != len(MANIFEST_COLUMNS):
                 raise DataIOError(f"{manifest}: malformed row {ln!r}")
-            self.rows.append((parts[0], parts[1],
-                              np.array([int(x) for x in parts[2:]], dtype=np.int64)))
+            try:
+                counts = np.array([int(x) for x in parts[2:]], dtype=np.int64)
+            except (ValueError, OverflowError):
+                counts = None
+            if counts is None or (counts < 0).any():
+                raise DataIOError(
+                    f"{manifest} line {no}: pixel counts must be non-negative integers, "
+                    f"got {parts[2:]}")
+            self.rows.append((parts[0], parts[1], counts))
+        if not self.rows:
+            raise DataIOError(f"{manifest} lists no slices")
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -589,7 +589,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             slice(0, (wout - 1) * stride + 1, stride))
 
     if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.zeros((n, cin, hp, wp), dtype=x.dtype)
+        xp[:, :, padding:padding + h, padding:padding + w] = x.data
     else:
         xp = np.ascontiguousarray(x.data)
     x_flat = xp.reshape(n, cin, hp * wp)
@@ -645,27 +646,58 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 # -- pooling / resampling ----------------------------------------------------
 
 
+def _pool_taps(a: np.ndarray) -> tuple:
+    """The four stride-2 views of 2x2 windows, in scan order."""
+    return (a[:, :, 0::2, 0::2], a[:, :, 0::2, 1::2],
+            a[:, :, 1::2, 0::2], a[:, :, 1::2, 1::2])
+
+
+def _pool_routes(taps: tuple, out: np.ndarray):
+    """One boolean mask per tap, in scan order, marking the windows whose
+    first element equal to `out` is that tap."""
+    free = np.ones(out.shape, dtype=bool)
+    for tap in taps[:3]:
+        hit = free & (tap == out)
+        free ^= hit
+        yield hit
+    yield free
+
+
 def maxpool2(x: Tensor) -> Tensor:
     """2x2 max pooling, stride 2. Ties route gradient to the first window
-    element in scan order."""
+    element in scan order.
+
+    Output, gradient and switch record have the same bytes as the plain
+    form: ``argmax`` over each window, ``take_along_axis`` forward and
+    ``put_along_axis`` backward. ``np.maximum`` returns its second operand
+    on ties (``-0.0`` against ``0.0`` included), so the operand order below
+    keeps the first window element, as ``argmax`` does. The backward
+    closure holds no index: it routes each gradient to the first window
+    element equal to the output, from the input and output the graph
+    already keeps. The routing index is built in forward only inside
+    ``record_switches``. For finite inputs only; a NaN window routes to
+    its last element.
+    """
     if x.ndim != 4:
         raise DimensionError(f"maxpool2 input must be 4D, got shape {x.shape}")
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise DimensionError(f"maxpool2 requires even H and W, got {h}x{w}")
-    h2, w2 = h // 2, w // 2
-    win = x.data.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4)
-    idx = win.argmax(axis=-1)  # first occurrence on ties
-    _trace(idx)
-    out_data = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    taps = _pool_taps(x.data)
+    out_data = np.maximum(np.maximum(taps[3], taps[2]), np.maximum(taps[1], taps[0]))
+    if _switch_trace is not None:
+        idx = np.zeros(out_data.shape, dtype=np.intp)
+        for k, hit in enumerate(_pool_routes(taps, out_data)):
+            idx[hit] = k
+        _trace(idx)
 
     def bw(g):
-        g4 = np.zeros((n, c, h2, w2, 4), dtype=g.dtype)
-        np.put_along_axis(g4, idx[..., None], g[..., None], axis=-1)
-        gx = g4.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+        gx = np.zeros((n, c, h, w), dtype=g.dtype)
+        for g_tap, hit in zip(_pool_taps(gx), _pool_routes(taps, out_data)):
+            np.copyto(g_tap, g, where=hit)
         x._accum(gx)
 
-    return Tensor._make(np.ascontiguousarray(out_data), (x,), bw)
+    return Tensor._make(out_data, (x,), bw)
 
 
 _lerp_cache: dict = {}
@@ -756,12 +788,33 @@ class RunningMoments:
         return m
 
 
+def _channel_sum(a: np.ndarray) -> np.ndarray:
+    """Per-channel sum of an N,C,H,W array over N, H and W.
+
+    Bit for bit equal to ``a.sum(axis=(0, 2, 3))``, and divided by N*H*W to
+    numpy's ``mean`` and ``var`` over those axes: both reduce each
+    contiguous H*W row pairwise, then add the rows of the batch in order.
+    ``tests/test_tensor.py`` checks this on the shapes the nets use.
+    """
+    n, c = a.shape[:2]
+    return a.reshape(n, c, -1).sum(axis=2).sum(axis=0)
+
+
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: RunningMoments,
                 training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
     """Per-channel normalization with affine transform.
 
     Training mode normalizes with batch statistics and updates `state` by
     EMA (variance stored unbiased); eval mode uses the stored moments.
+
+    Every output, gradient and running moment has the same bytes as the
+    plain form ``xhat = (x - mean) * ivar``, ``out = gamma * xhat + beta``
+    with numpy's ``mean``/``var`` over (N, H, W), and backward
+    ``ivar * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))``: the same
+    operations run in the same order, in place in fresh buffers. A forward
+    allocates two activation-sized arrays, ``xhat`` and the output, and the
+    backward closure holds ``xhat`` only; a backward allocates two more.
+    Nothing is written in place into ``x.data`` or the incoming gradient.
     """
     if x.ndim != 4:
         raise DimensionError(f"batchnorm2d input must be 4D, got shape {x.shape}")
@@ -772,6 +825,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: RunningMoments,
         )
     d = x.data
     g_d = gamma.data.reshape(1, c, 1, 1)
+    beta_d = beta.data.reshape(1, c, 1, 1)
 
     if training:
         m = n * h * w
@@ -779,40 +833,52 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: RunningMoments,
             raise DegenerateBatchError(
                 f"batch statistics need N*H*W >= 2, got {m}"
             )
-        mean = d.mean(axis=(0, 2, 3))
-        var = d.var(axis=(0, 2, 3))
-        ivar = 1.0 / np.sqrt(var + eps)
-        xhat = (d - mean.reshape(1, c, 1, 1)) * ivar.reshape(1, c, 1, 1)
+        mean = _channel_sum(d) / m
+        xhat = d - mean.reshape(1, c, 1, 1)
+        out_data = np.multiply(xhat, xhat)
+        var = _channel_sum(out_data) / m
+        ivar = (1.0 / np.sqrt(var + eps)).reshape(1, c, 1, 1)
+        xhat *= ivar
+        np.multiply(g_d, xhat, out=out_data)
+        out_data += beta_d
         state.mean[:] = (1.0 - momentum) * state.mean + momentum * mean
         unbias = m / (m - 1)
         state.var[:] = (1.0 - momentum) * state.var + momentum * var * unbias
-        out_data = g_d * xhat + beta.data.reshape(1, c, 1, 1)
 
         def bw(g):
             if beta.requires_grad:
-                beta._accum(g.sum(axis=(0, 2, 3)))
+                beta._accum(_channel_sum(g))
+            scratch = np.multiply(g, xhat)
             if gamma.requires_grad:
-                gamma._accum((g * xhat).sum(axis=(0, 2, 3)))
+                gamma._accum(_channel_sum(scratch))
             if x.requires_grad:
-                dxhat = g * g_d
-                s1 = dxhat.mean(axis=(0, 2, 3), keepdims=True)
-                s2 = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
-                x._accum(ivar.reshape(1, c, 1, 1) * (dxhat - s1 - xhat * s2))
+                dxhat = np.multiply(g, g_d)
+                s1 = (_channel_sum(dxhat) / m).reshape(1, c, 1, 1)
+                np.multiply(dxhat, xhat, out=scratch)
+                s2 = (_channel_sum(scratch) / m).reshape(1, c, 1, 1)
+                dxhat -= s1
+                np.multiply(xhat, s2, out=scratch)
+                dxhat -= scratch
+                dxhat *= ivar
+                x._accum(dxhat)
 
         return Tensor._make(out_data, (x, gamma, beta), bw)
 
     ivar = (1.0 / np.sqrt(state.var + eps)).astype(d.dtype).reshape(1, c, 1, 1)
-    mean = state.mean.astype(d.dtype).reshape(1, c, 1, 1)
-    xhat = (d - mean) * ivar
-    out_data = g_d * xhat + beta.data.reshape(1, c, 1, 1)
+    xhat = d - state.mean.astype(d.dtype).reshape(1, c, 1, 1)
+    xhat *= ivar
+    out_data = np.multiply(g_d, xhat)
+    out_data += beta_d
 
     def bw_eval(g):
         if beta.requires_grad:
-            beta._accum(g.sum(axis=(0, 2, 3)))
+            beta._accum(_channel_sum(g))
         if gamma.requires_grad:
-            gamma._accum((g * xhat).sum(axis=(0, 2, 3)))
+            gamma._accum(_channel_sum(g * xhat))
         if x.requires_grad:
-            x._accum(g * g_d * ivar)
+            gx = np.multiply(g, g_d)
+            gx *= ivar
+            x._accum(gx)
 
     return Tensor._make(out_data, (x, gamma, beta), bw_eval)
 

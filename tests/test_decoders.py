@@ -1,4 +1,5 @@
-"""Corrupt TNS1 and RCKP bytes fail with DataIOError, never a raw error.
+"""Corrupt TNS1, RCKP and manifest bytes fail with DataIOError, never a
+raw error.
 
 Truncations and bit flips are drawn by hypothesis; each one must either
 raise DataIOError or decode cleanly. A clean load is possible: a flipped
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cacseg.cli import main
+from cacseg.data import MANIFEST_NAME, Dataset, PhantomSpec, generate_phantom
 from cacseg.errors import DataIOError
 from cacseg.params import load_checkpoint, save_checkpoint
 from cacseg.tensor import tns_decode, tns_encode
@@ -106,3 +108,64 @@ class TestCheckpointDecode:
         err = capsys.readouterr().err
         assert code == 2, err
         assert err.startswith("io error:") and "cut.rckp" in err, err
+
+
+@pytest.fixture(scope="module")
+def phantom_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("phantom")
+    generate_phantom(PhantomSpec(slices=3, size=64, rng_seed=5), root)
+    return root
+
+
+def write_manifest(root, blob: bytes):
+    (root / MANIFEST_NAME).write_bytes(blob)
+    return root
+
+
+class TestManifest:
+    @pytest.fixture
+    def manifest_blob(self, phantom_dir):
+        blob = (phantom_dir / MANIFEST_NAME).read_bytes()
+        yield blob
+        write_manifest(phantom_dir, blob)
+
+    def test_intact_manifest_loads(self, phantom_dir, manifest_blob):
+        ds = Dataset(phantom_dir)
+        assert len(ds) == 3 and ds.sample(2).image.shape == (1, 64, 64)
+
+    @pytest.mark.parametrize("count,reason", [("abc", "non-integer"), ("-4", "negative")])
+    def test_bad_pixel_count_names_line(self, phantom_dir, manifest_blob, count, reason):
+        lines = manifest_blob.decode().splitlines()
+        fields = lines[2].split("\t")
+        fields[3] = count
+        lines[2] = "\t".join(fields)
+        write_manifest(phantom_dir, ("\n".join(lines) + "\n").encode())
+        with pytest.raises(DataIOError, match=f"{MANIFEST_NAME} line 3: pixel counts"):
+            Dataset(phantom_dir)
+
+    def test_undecodable_bytes_raise_io_error(self, phantom_dir, manifest_blob):
+        write_manifest(phantom_dir, manifest_blob.replace(b"images", b"imag\xffs", 1))
+        with pytest.raises(DataIOError, match="not UTF-8"):
+            Dataset(phantom_dir)
+
+    def test_header_only_manifest_fails_train_with_exit_code_2(
+            self, tmp_path, phantom_dir, manifest_blob, capsys):
+        write_manifest(phantom_dir, manifest_blob.splitlines(keepends=True)[0])
+        code = main(["train", "--out", str(tmp_path / "run"),
+                     "--set", f"data.train_dir={phantom_dir}",
+                     "--set", f"data.val_dir={phantom_dir}"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("io error:") and "lists no slices" in err, err
+
+    @FUZZ
+    @given(dmg=st.data())
+    def test_corrupt_bytes_fail_cleanly(self, phantom_dir, manifest_blob, dmg):
+        write_manifest(phantom_dir, corrupt(manifest_blob, *dmg.draw(damage(len(manifest_blob)))))
+        try:
+            ds = Dataset(phantom_dir)
+            assert (ds.pixel_counts() >= 0).all()
+            for i in range(len(ds)):
+                ds.sample(i)
+        except DataIOError:
+            pass

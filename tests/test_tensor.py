@@ -42,6 +42,73 @@ CONV_CASES = {
 SHAPE_CASES = ["cin1", "attention-1x1", "stride2-odd-width", "5x3-pad2", "odd-width"]
 
 
+# Shapes of the reference-form batchnorm tests: desk64 enc0, deep128 enc0
+# (H*W above numpy's 8192-element buffer), a batch-1 eval slice, the
+# deep128 bottleneck, an odd shape, and the float64 gradient-check path.
+BN_SHAPES = [
+    pytest.param((16, 8, 56, 56), np.float32, id="desk"),
+    pytest.param((4, 16, 128, 128), np.float32, id="deep128"),
+    pytest.param((1, 8, 64, 64), np.float32, id="batch1"),
+    pytest.param((4, 256, 8, 8), np.float32, id="wide"),
+    pytest.param((2, 3, 5, 7), np.float32, id="odd"),
+    pytest.param((2, 3, 5, 7), np.float64, id="odd-f64"),
+]
+
+
+def batchnorm2d_plain(x, gamma, beta, state, training, g, momentum=0.1, eps=1e-5):
+    """Reference batchnorm in the plain form: (out, dx, dgamma, dbeta).
+
+    Updates `state` in training mode, as `batchnorm2d` does.
+    """
+    n, c, h, w = x.shape
+    g_d = gamma.reshape(1, c, 1, 1)
+    if training:
+        m = n * h * w
+        mean = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
+        ivar = 1.0 / np.sqrt(var + eps)
+        xhat = (x - mean.reshape(1, c, 1, 1)) * ivar.reshape(1, c, 1, 1)
+        state.mean[:] = (1.0 - momentum) * state.mean + momentum * mean
+        state.var[:] = (1.0 - momentum) * state.var + momentum * var * (m / (m - 1))
+        dxhat = g * g_d
+        s1 = dxhat.mean(axis=(0, 2, 3), keepdims=True)
+        s2 = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
+        dx = ivar.reshape(1, c, 1, 1) * (dxhat - s1 - xhat * s2)
+    else:
+        ivar = (1.0 / np.sqrt(state.var + eps)).astype(x.dtype).reshape(1, c, 1, 1)
+        xhat = (x - state.mean.astype(x.dtype).reshape(1, c, 1, 1)) * ivar
+        dx = g * g_d * ivar
+    out = g_d * xhat + beta.reshape(1, c, 1, 1)
+    return out, dx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+
+
+def maxpool2_plain(x, g):
+    """Reference 2x2 max pool by argmax: (out, dx, argmax index)."""
+    n, c, h, w = x.shape
+    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    win = win.reshape(n, c, h // 2, w // 2, 4)
+    idx = win.argmax(axis=-1)
+    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    g4 = np.zeros(win.shape, dtype=g.dtype)
+    np.put_along_axis(g4, idx[..., None], g[..., None], axis=-1)
+    dx = g4.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(x.shape)
+    return out, dx, idx
+
+
+def tied_windows(dtype):
+    """Every 2x2 window over {-1, -0.0, 0.0, 0.5}: 2-, 3- and 4-way ties at
+    every window position, -0.0 against 0.0 included. Channel 1 holds
+    random values, mostly without ties."""
+    values = np.array([-1.0, -0.0, 0.0, 0.5], dtype=dtype)
+    combos = np.stack(np.meshgrid(*[np.arange(4)] * 4, indexing="ij"), -1).reshape(-1, 4)
+    win = values[combos].reshape(16, 16, 2, 2)          # 256 windows
+    x = np.empty((2, 2, 32, 32), dtype=dtype)
+    x[:, 0] = win.transpose(0, 2, 1, 3).reshape(32, 32)
+    x[:, 1] = np.random.default_rng(28).standard_normal((2, 32, 32))
+    x[1, 0] = x[1, 0, ::-1]
+    return x
+
+
 def conv_operands(case, rng, dtype=np.float32):
     shape, kh, kw, stride, padding = CONV_CASES[case]
     x = rng.standard_normal(shape).astype(dtype)
@@ -87,6 +154,14 @@ class TestConv2d:
         fast = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding)
         direct = T.conv2d_forward_direct(x, w, b, stride, padding)
         np.testing.assert_allclose(fast.data, direct, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("case", [c for c, spec in CONV_CASES.items() if spec[4]])
+    def test_padding_matches_np_pad(self, case):
+        x, w, b, stride, padding = conv_operands(case, np.random.default_rng(13))
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        padded = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding).data
+        unpadded = T.conv2d(Tensor(xp), Tensor(w), Tensor(b), stride, 0).data
+        assert padded.tobytes() == unpadded.tobytes()
 
     @pytest.mark.parametrize("case", SHAPE_CASES)
     def test_shapes_match_finite_differences(self, case):
@@ -199,6 +274,67 @@ class TestBatchNorm:
                           Tensor(np.zeros(2, np.float32)), RunningMoments(2),
                           training=True)
 
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("shape,dtype", BN_SHAPES)
+    def test_matches_plain_form_bytes(self, shape, dtype, training):
+        rng = np.random.default_rng(23)
+        c = shape[1]
+        x = (rng.standard_normal(shape) * 2 + 0.5).astype(dtype)
+        gamma = rng.uniform(0.5, 1.5, c).astype(dtype)
+        beta = rng.standard_normal(c).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        state = RunningMoments(c, dtype=dtype)
+        state.mean[:] = rng.standard_normal(c)
+        state.var[:] = rng.uniform(0.5, 2.0, c)
+        ref_state = state.copy()
+        want = batchnorm2d_plain(x, gamma, beta, ref_state, training, g)
+
+        xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+        x_before, g_before = x.copy(), g.copy()
+        y = T.batchnorm2d(xt, gt, bt, state, training)
+        y._backward_fn(g)
+        got = (y.data, xt.grad, gt.grad, bt.grad, state.mean, state.var)
+        for name, a, b in zip(("out", "dx", "dgamma", "dbeta", "mean", "var"), got,
+                              want + (ref_state.mean, ref_state.var)):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert a.tobytes() == b.tobytes(), name
+        assert x.tobytes() == x_before.tobytes() and g.tobytes() == g_before.tobytes()
+
+    @pytest.mark.parametrize("shape,dtype", BN_SHAPES)
+    def test_channel_sum_matches_numpy_reductions(self, shape, dtype):
+        a = (np.random.default_rng(24).standard_normal(shape) * 3 + 1).astype(dtype)
+        n, c, h, w = shape
+        m = n * h * w
+        assert T._channel_sum(a).tobytes() == a.sum(axis=(0, 2, 3)).tobytes()
+        assert (T._channel_sum(a) / m).tobytes() == a.mean(axis=(0, 2, 3)).tobytes()
+        centred = a - a.mean(axis=(0, 2, 3)).reshape(1, c, 1, 1)
+        assert (T._channel_sum(centred * centred) / m).tobytes() == a.var(axis=(0, 2, 3)).tobytes()
+
+    def test_memory_peaks_at_two_activations(self):
+        # A desk64 enc0 activation: batch 16, 8 channels, 64x64.
+        rng = np.random.default_rng(25)
+        x = Tensor(rng.standard_normal((16, 8, 64, 64)).astype(np.float32),
+                   requires_grad=True)
+        gamma = Tensor(np.ones(8, np.float32), requires_grad=True)
+        beta = Tensor(np.zeros(8, np.float32), requires_grad=True)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            y = T.batchnorm2d(x, gamma, beta, RunningMoments(8), training=True)
+            after_forward, forward_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            y._backward_fn(g)
+            backward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        limit = 2.1 * x.data.nbytes
+        assert forward_peak - base <= limit, \
+            f"forward peaks at {(forward_peak - base) / x.data.nbytes:.2f}x the input"
+        assert backward_peak - after_forward <= limit, \
+            f"backward peaks at {(backward_peak - after_forward) / x.data.nbytes:.2f}x the input"
+
 class TestActivations:
     def test_sigmoid_at_zero(self):
         assert T.sigmoid(Tensor(np.zeros(1, np.float32))).data[0] == 0.5
@@ -233,6 +369,34 @@ class TestMaxPool:
     def test_odd_extent_rejected(self):
         with pytest.raises(DimensionError, match="even"):
             T.maxpool2(Tensor(np.zeros((1, 1, 3, 4), np.float32)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_plain_form_bytes_on_ties(self, dtype):
+        x = tied_windows(dtype)
+        g = np.random.default_rng(26).standard_normal(
+            (x.shape[0], x.shape[1], x.shape[2] // 2, x.shape[3] // 2)).astype(dtype)
+        out, dx, idx = maxpool2_plain(x, g)
+        xt = Tensor(x, requires_grad=True)
+        with T.record_switches() as switches:
+            y = T.maxpool2(xt)
+        y._backward_fn(g)
+        assert y.data.tobytes() == out.tobytes()
+        assert np.signbit(y.data).sum() > 0, "no -0.0 maximum was planted"
+        assert xt.grad.tobytes() == dx.tobytes()
+        assert len(switches) == 1 and np.array_equal(switches[0], idx)
+
+    def test_closure_holds_no_routing_index(self):
+        x = Tensor(np.random.default_rng(27).standard_normal((16, 8, 64, 64))
+                   .astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y = T.maxpool2(x)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert retained <= y.data.nbytes + 64 * 1024, \
+            f"forward retains {retained / 2 ** 20:.2f} MiB for a {y.data.nbytes / 2 ** 20:.2f} MiB output"
 
 class TestResampling:
     def test_upsample_constant(self):

@@ -1,0 +1,56 @@
+#!/usr/bin/env bash
+# Byte-identity recipe: trains, evaluates and infers with the cacseg in
+# <checkout>/src, runs the gradient checks, and writes <out>/SHA256SUMS over
+# every file it produced. Run it once on each of two checkouts, each into
+# its own empty <out>; the two SHA256SUMS then compare with one `diff`.
+#
+# Each resolved.cfg records the output directory it was written to, so it
+# is hashed with <out> replaced by the literal string "<out>".
+#
+#   tools/identity_recipe.sh <checkout> <out>
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 <checkout> <out>" >&2
+    exit 2
+fi
+checkout=$(cd "$1" && pwd)
+mkdir -p "$2"
+O=$(cd "$2" && pwd)
+if [ -n "$(ls -A "$O")" ]; then
+    echo "$O is not empty" >&2
+    exit 2
+fi
+
+cd "$checkout"
+export PYTHONPATH="$checkout/src"
+C() { python3 -m cacseg.cli "$@" > /dev/null; }
+
+C synth --config configs/overfit.cfg --out "$O/ph-overfit"
+C train --config configs/overfit.cfg --set train.epochs=6 \
+    --set data.train_dir="$O/ph-overfit" --out "$O/overfit"
+C synth --config configs/desk64-phantom.cfg --set data.phantom.slices=48 --out "$O/ph-desk"
+C train --config configs/desk64-train.cfg --set train.epochs=2 \
+    --set data.train_dir="$O/ph-desk" --set data.val_dir="$O/ph-desk" --out "$O/desk"
+
+for run in overfit desk; do
+    if [ "$run" = overfit ]; then cfg=configs/overfit.cfg; else cfg=configs/desk64-train.cfg; fi
+    phantom="$O/ph-$run"
+    for ps in false true; do
+        C eval --config "$cfg" --set eval.checkpoint="$O/$run/last.rckp" \
+            --set data.test_dir="$phantom" --set eval.per_slice=$ps --out "$O/eval-$run-$ps"
+    done
+    C infer --config "$cfg" --set infer.checkpoint="$O/$run/last.rckp" \
+        --set infer.input_dir="$phantom" --set infer.limit=5 --out "$O/infer-$run"
+done
+C gradcheck --out "$O/gc"
+
+cd "$O"
+find . -type f ! -name SHA256SUMS | LC_ALL=C sort | while read -r f; do
+    if [ "$(basename "$f")" = resolved.cfg ]; then
+        printf '%s  %s\n' "$(sed "s|$O|<out>|g" "$f" | sha256sum | cut -d' ' -f1)" "$f"
+    else
+        sha256sum "$f"
+    fi
+done > SHA256SUMS
+echo "$(wc -l < SHA256SUMS) files hashed into $O/SHA256SUMS"
