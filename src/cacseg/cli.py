@@ -71,6 +71,15 @@ def cmd_train(cfg: Config, args) -> int:
     return 0
 
 
+def _checkpoint(cfg: Config, key: str):
+    """The parameter store of the RCKP file at cfg[key], built for cfg.arch()."""
+    arch = cfg.arch()
+    if not cfg[key]:
+        raise ConfigError(f"{key} must point to an RCKP file")
+    store, _ = load_model(cfg[key], arch)
+    return store
+
+
 def _predictions(store, ds: D.Dataset, count: int):
     """Eval-mode logits (C,H,W) of the first `count` samples, one at a time."""
     for i in range(count):
@@ -82,11 +91,7 @@ def _predictions(store, ds: D.Dataset, count: int):
 
 def cmd_eval(cfg: Config, args) -> int:
     out = _out_dir(args)
-    arch = cfg.arch()
-    ckpt = cfg["eval.checkpoint"]
-    if not ckpt:
-        raise ConfigError("eval.checkpoint must point to an RCKP file")
-    store, _ = load_model(ckpt, arch)
+    store = _checkpoint(cfg, "eval.checkpoint")
     test_ds = _dataset(cfg, "data.test_dir")
     cfg.dump(out / RESOLVED_NAME)
     if cfg["eval.per_slice"]:
@@ -106,11 +111,7 @@ def cmd_eval(cfg: Config, args) -> int:
 
 def cmd_infer(cfg: Config, args) -> int:
     out = _out_dir(args)
-    arch = cfg.arch()
-    ckpt = cfg["infer.checkpoint"]
-    if not ckpt:
-        raise ConfigError("infer.checkpoint must point to an RCKP file")
-    store, _ = load_model(ckpt, arch)
+    store = _checkpoint(cfg, "infer.checkpoint")
     in_dir = cfg["infer.input_dir"]
     if not in_dir:
         raise ConfigError("infer.input_dir must point to a dataset directory")

@@ -60,6 +60,18 @@ def _check_masks(pred: np.ndarray, true: np.ndarray):
     return pred.astype(np.int64).ravel(), true.astype(np.int64).ravel()
 
 
+def _report(pred_px, true_px, inter) -> DiceReport:
+    """Dice from per-class pixel counts; classes absent from both sides score 1."""
+    denom = pred_px + true_px
+    both_absent = denom == 0
+    dice = np.where(both_absent, 1.0, 2.0 * inter / np.maximum(denom, 1))
+    return DiceReport(dice=dice.astype(np.float64),
+                      pred_pixels=pred_px.astype(np.int64),
+                      true_pixels=true_px.astype(np.int64),
+                      intersection=inter.astype(np.int64),
+                      both_absent=both_absent)
+
+
 def dice_per_class(pred_mask, true_mask) -> DiceReport:
     """Global-count Dice per class.
 
@@ -68,45 +80,24 @@ def dice_per_class(pred_mask, true_mask) -> DiceReport:
     report Dice 1 and are flagged.
     """
     pred, true = _check_masks(pred_mask, true_mask)
-    pred_px = np.bincount(pred, minlength=NUM_CLASSES)
-    true_px = np.bincount(true, minlength=NUM_CLASSES)
-    agree = pred == true
-    inter = np.bincount(true[agree], minlength=NUM_CLASSES)
-    denom = pred_px + true_px
-    both_absent = denom == 0
-    dice = np.where(both_absent, 1.0,
-                    2.0 * inter / np.maximum(denom, 1))
-    return DiceReport(dice=dice.astype(np.float64),
-                      pred_pixels=pred_px.astype(np.int64),
-                      true_pixels=true_px.astype(np.int64),
-                      intersection=inter.astype(np.int64),
-                      both_absent=both_absent)
+    return _report(np.bincount(pred, minlength=NUM_CLASSES),
+                   np.bincount(true, minlength=NUM_CLASSES),
+                   np.bincount(true[pred == true], minlength=NUM_CLASSES))
 
 
 class DiceAccumulator:
     """Streaming global-count Dice over many (prediction, target) pairs."""
 
     def __init__(self):
-        self.pred_px = np.zeros(NUM_CLASSES, dtype=np.int64)
-        self.true_px = np.zeros(NUM_CLASSES, dtype=np.int64)
-        self.inter = np.zeros(NUM_CLASSES, dtype=np.int64)
+        # rows: predicted pixels, true pixels, intersection
+        self.counts = np.zeros((3, NUM_CLASSES), dtype=np.int64)
 
     def update(self, pred_mask, true_mask) -> None:
         r = dice_per_class(pred_mask, true_mask)
-        self.pred_px += r.pred_pixels
-        self.true_px += r.true_pixels
-        self.inter += r.intersection
+        self.counts += (r.pred_pixels, r.true_pixels, r.intersection)
 
     def report(self) -> DiceReport:
-        denom = self.pred_px + self.true_px
-        both_absent = denom == 0
-        dice = np.where(both_absent, 1.0,
-                        2.0 * self.inter / np.maximum(denom, 1))
-        return DiceReport(dice=dice.astype(np.float64),
-                          pred_pixels=self.pred_px.copy(),
-                          true_pixels=self.true_px.copy(),
-                          intersection=self.inter.copy(),
-                          both_absent=both_absent)
+        return _report(*self.counts)
 
 
 def dice_per_slice_mean(pairs) -> np.ndarray:

@@ -7,9 +7,11 @@ Four variants over 6-class logits:
 * FocalDice     - w_f * focal + w_d * (1 - mean soft Dice)
 * FocalLogDice  - w_f * focal + w_d * mean_i (-ln Dice_i)^gamma_d
 
-Soft Dice is accumulated per class over the whole batch, matching the
-evaluation module's global-count convention. Targets are integer masks;
-probabilities come from a per-pixel channel softmax.
+Each is one call into `_combo`, which checks the mask (integers, or
+floats holding integers), takes the per-pixel channel softmax and builds
+the one-hot once; the focal p_t and the Dice intersection both come from
+`probs * onehot`. Soft Dice is accumulated per class over the whole
+batch, matching the evaluation module's global-count convention.
 """
 
 from __future__ import annotations
@@ -76,36 +78,63 @@ def class_weights_from_counts(counts) -> np.ndarray:
 
 
 def _check_target(target: np.ndarray, num_classes: int) -> np.ndarray:
+    """The mask as int64; LabelError names the first bad value as given."""
     target = np.asarray(target)
-    if not np.issubdtype(target.dtype, np.integer):
-        rounded = np.rint(target)
-        if not np.array_equal(rounded, target):
-            raise LabelError("target mask contains non-integer values")
-        target = rounded.astype(np.int64)
+    if (not np.issubdtype(target.dtype, np.integer)
+            and not np.array_equal(np.rint(target), target)):
+        raise LabelError("target mask contains non-integer values")
     bad = (target < 0) | (target >= num_classes)
     if bad.any():
         pos = tuple(int(i) for i in np.argwhere(bad)[0])
         raise LabelError(
-            f"mask value {int(target[pos])} at position {pos} outside 0..{num_classes - 1}"
+            f"mask value {target[pos].item()} at position {pos} outside 0..{num_classes - 1}"
         )
     return target.astype(np.int64)
 
 
 def _onehot(target: np.ndarray, num_classes: int, dtype) -> np.ndarray:
-    eye = np.eye(num_classes, dtype=dtype)
-    oh = eye[target]                      # (N,H,W,C)
+    oh = np.eye(num_classes, dtype=dtype)[target]      # (N,H,W,C)
     return np.ascontiguousarray(np.moveaxis(oh, -1, 1))
 
 
-def _focal_from_probs(probs: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
-    onehot = _onehot(target, cfg.num_classes, probs.dtype.type)
-    p_true = (probs * onehot).sum(axis=1)           # (N,H,W)
-    p_true = p_true.clip(cfg.smooth_eps, 1.0)
-    alpha = cfg.class_weights.astype(probs.dtype.type)[target]
+def _focal(hit: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
+    p_true = hit.sum(axis=1).clip(cfg.smooth_eps, 1.0)      # (N,H,W)
+    alpha = cfg.class_weights.astype(hit.dtype.type)[target]
     term = p_true.log() * alpha
     if cfg.focal_gamma != 0.0:
         term = term * (1.0 - p_true).pow(cfg.focal_gamma)
     return -term.mean()
+
+
+def _soft_dice(probs: Tensor, onehot: np.ndarray, hit: Tensor, eps: float) -> Tensor:
+    inter = hit.sum(axis=(0, 2, 3))
+    p_sum = probs.sum(axis=(0, 2, 3))
+    t_sum = onehot.sum(axis=(0, 2, 3))
+    return (inter * 2.0 + eps) / (p_sum + t_sum + eps)
+
+
+def _log_pow_dice(dice: Tensor, cfg: LossConfig) -> Tensor:
+    # clip guards against d landing one ulp above 1 from float rounding
+    neg_log = (-dice.log()).clip(0.0, None)
+    return neg_log.pow(cfg.dice_gamma, grad_floor=_POW_GRAD_FLOOR).mean()
+
+
+def _linear_dice(dice: Tensor, cfg: LossConfig) -> Tensor:
+    return 1.0 - dice.mean()
+
+
+def _combo(logits: Tensor, target: np.ndarray, cfg: LossConfig, focal: bool,
+           dice_term) -> Tensor:
+    """w_focal * focal + w_dice * dice_term(soft Dice), or either term alone
+    (`focal` false, `dice_term` None), unweighted, over one `probs * onehot`."""
+    target = _check_target(target, cfg.num_classes)
+    probs = softmax_channel(logits)
+    onehot = _onehot(target, cfg.num_classes, probs.dtype.type)
+    hit = probs * onehot
+    if dice_term is None:
+        return _focal(hit, target, cfg)
+    dice = dice_term(_soft_dice(probs, onehot, hit, cfg.smooth_eps), cfg)
+    return _focal(hit, target, cfg) * cfg.w_focal + dice * cfg.w_dice if focal else dice
 
 
 def soft_dice_per_class(probs: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
@@ -115,61 +144,37 @@ def soft_dice_per_class(probs: Tensor, target: np.ndarray, cfg: LossConfig) -> T
     eps/eps = 1 and therefore contributes no loss.
     """
     onehot = _onehot(target, cfg.num_classes, probs.dtype.type)
-    inter = (probs * onehot).sum(axis=(0, 2, 3))
-    p_sum = probs.sum(axis=(0, 2, 3))
-    t_sum = onehot.sum(axis=(0, 2, 3))
-    eps = cfg.smooth_eps
-    return (inter * 2.0 + eps) / (p_sum + t_sum + eps)
-
-
-def _logdice_from_probs(probs: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
-    dice = soft_dice_per_class(probs, target, cfg)
-    # clip guards against d landing one ulp above 1 from float rounding
-    neg_log = (-dice.log()).clip(0.0, None)
-    return neg_log.pow(cfg.dice_gamma, grad_floor=_POW_GRAD_FLOOR).mean()
-
-
-def _plain_dice_from_probs(probs: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
-    return 1.0 - soft_dice_per_class(probs, target, cfg).mean()
+    return _soft_dice(probs, onehot, probs * onehot, cfg.smooth_eps)
 
 
 def weighted_focal(logits: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
     """Mean over pixels of -alpha_c * (1 - p_c)^gamma * ln(p_c)."""
-    target = _check_target(target, cfg.num_classes)
-    return _focal_from_probs(softmax_channel(logits), target, cfg)
+    return _combo(logits, target, cfg, focal=True, dice_term=None)
 
 
 def exp_log_dice(logits: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
     """Mean over classes of (-ln Dice_i)^gamma_d with batch-level Dice."""
-    target = _check_target(target, cfg.num_classes)
-    return _logdice_from_probs(softmax_channel(logits), target, cfg)
+    return _combo(logits, target, cfg, focal=False, dice_term=_log_pow_dice)
 
 
 def focal_logdice(logits: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
     """w_focal * focal + w_dice * exponential log Dice (one fused addition)."""
-    target = _check_target(target, cfg.num_classes)
-    probs = softmax_channel(logits)
-    return (_focal_from_probs(probs, target, cfg) * cfg.w_focal
-            + _logdice_from_probs(probs, target, cfg) * cfg.w_dice)
+    return _combo(logits, target, cfg, focal=True, dice_term=_log_pow_dice)
 
 
 def focal_dice(logits: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
     """w_focal * focal + w_dice * (1 - mean soft Dice)."""
-    target = _check_target(target, cfg.num_classes)
-    probs = softmax_channel(logits)
-    return (_focal_from_probs(probs, target, cfg) * cfg.w_focal
-            + _plain_dice_from_probs(probs, target, cfg) * cfg.w_dice)
+    return _combo(logits, target, cfg, focal=True, dice_term=_linear_dice)
+
+
+_BY_VARIANT = {"CE": weighted_focal, "Focal": weighted_focal,
+               "FocalDice": focal_dice, "FocalLogDice": focal_logdice}
 
 
 def loss_by_variant(cfg: LossConfig):
     """Return the (logits, target) -> scalar loss for cfg.variant."""
     cfg.validate()
+    loss = _BY_VARIANT[cfg.variant]
     if cfg.variant == "CE":
-        ce_cfg = replace(cfg, focal_gamma=0.0,
-                         class_weights=np.ones(cfg.num_classes))
-        return lambda logits, target: weighted_focal(logits, target, ce_cfg)
-    if cfg.variant == "Focal":
-        return lambda logits, target: weighted_focal(logits, target, cfg)
-    if cfg.variant == "FocalDice":
-        return lambda logits, target: focal_dice(logits, target, cfg)
-    return lambda logits, target: focal_logdice(logits, target, cfg)
+        cfg = replace(cfg, focal_gamma=0.0, class_weights=np.ones(cfg.num_classes))
+    return lambda logits, target: loss(logits, target, cfg)

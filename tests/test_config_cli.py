@@ -210,6 +210,13 @@ class TestCli:
         assert rc == 1
         assert "data.train_dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["eval", "infer"])
+    def test_missing_checkpoint_exits_1_after_arch_check(self, cmd, tmp_path, capsys):
+        assert main([cmd, "--out", str(tmp_path)]) == 1
+        assert f"{cmd}.checkpoint must point to an RCKP file" in capsys.readouterr().err
+        assert main([cmd, "--out", str(tmp_path), "--set", "arch.levels=0"]) == 1
+        assert "levels must be a positive integer" in capsys.readouterr().err
+
     def test_resolved_config_reproduces_run(self, micro_dataset, tmp_path):
         first = tmp_path / "first"
         args = ["train", "--out", str(first),

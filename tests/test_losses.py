@@ -1,12 +1,17 @@
 """Loss family tests: formula oracles, reductions, invariants, gradients."""
 
+import itertools
+import warnings
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cacseg import losses as L
 from cacseg.errors import ConfigError, LabelError
 from cacseg.gradcheck import OP_TOL, check_gradients, check_losses
-from cacseg.tensor import Tensor
+from cacseg.tensor import Tensor, softmax_channel
 
 
 def perfect_logits(target: np.ndarray, margin: float = 60.0) -> np.ndarray:
@@ -235,3 +240,143 @@ class TestGradients:
     def test_all_variants_pass_finite_differences(self):
         for res in check_losses(seed=0):
             assert res.passed, res.row()
+
+
+# -- the loss core against the terms computed one by one ---------------------
+#
+# The oracle below is the loss as it was before the shared core: every term
+# builds its own one-hot and its own `probs * onehot`, and each combo adds the
+# two terms over one softmax. The core must give the same bytes.
+
+def _oracle_onehot(target, dtype):
+    return np.ascontiguousarray(np.moveaxis(np.eye(6, dtype=dtype)[target], -1, 1))
+
+
+def _oracle_focal(probs, target, cfg):
+    p_true = (probs * _oracle_onehot(target, probs.dtype.type)).sum(axis=1)
+    p_true = p_true.clip(cfg.smooth_eps, 1.0)
+    term = p_true.log() * cfg.class_weights.astype(probs.dtype.type)[target]
+    if cfg.focal_gamma != 0.0:
+        term = term * (1.0 - p_true).pow(cfg.focal_gamma)
+    return -term.mean()
+
+
+def _oracle_dice(probs, target, cfg):
+    onehot = _oracle_onehot(target, probs.dtype.type)
+    inter = (probs * onehot).sum(axis=(0, 2, 3))
+    p_sum = probs.sum(axis=(0, 2, 3))
+    t_sum = onehot.sum(axis=(0, 2, 3))
+    return (inter * 2.0 + cfg.smooth_eps) / (p_sum + t_sum + cfg.smooth_eps)
+
+
+def _oracle_logdice(probs, target, cfg):
+    neg_log = (-_oracle_dice(probs, target, cfg).log()).clip(0.0, None)
+    return neg_log.pow(cfg.dice_gamma, grad_floor=L._POW_GRAD_FLOOR).mean()
+
+
+def _oracle_plain_dice(probs, target, cfg):
+    return 1.0 - _oracle_dice(probs, target, cfg).mean()
+
+
+def _oracle_combo(dice):
+    def loss(logits, target, cfg):
+        probs = softmax_channel(logits)
+        return (_oracle_focal(probs, target, cfg) * cfg.w_focal
+                + dice(probs, target, cfg) * cfg.w_dice)
+    return loss
+
+
+ORACLE = {
+    "weighted_focal": lambda lg, t, cfg: _oracle_focal(softmax_channel(lg), t, cfg),
+    "exp_log_dice": lambda lg, t, cfg: _oracle_logdice(softmax_channel(lg), t, cfg),
+    "focal_logdice": _oracle_combo(_oracle_logdice),
+    "focal_dice": _oracle_combo(_oracle_plain_dice),
+}
+ORACLE_OF_VARIANT = {"CE": "weighted_focal", "Focal": "weighted_focal",
+                     "FocalDice": "focal_dice", "FocalLogDice": "focal_logdice"}
+ENTRIES = [*L.VARIANTS, *ORACLE]
+CORE_SHAPES = [(1, 1, 1), (1, 1, 7), (1, 5, 1), (2, 3, 4), (3, 6, 2), (4, 4, 5)]
+
+
+def _loss_fn(name, weights):
+    """The loss under test: a variant through loss_by_variant, or a public function."""
+    if name in L.VARIANTS:
+        return L.loss_by_variant(L.LossConfig(variant=name, class_weights=weights))
+    cfg = L.LossConfig(class_weights=weights)
+    return lambda logits, target: getattr(L, name)(logits, target, cfg)
+
+
+def _oracle_fn(name, weights):
+    if name not in L.VARIANTS:
+        cfg = L.LossConfig(class_weights=weights)
+        return lambda logits, target: ORACLE[name](logits, target, cfg)
+    cfg = L.LossConfig(variant=name, class_weights=weights)
+    cfg.validate()
+    if name == "CE":
+        cfg = replace(cfg, focal_gamma=0.0, class_weights=np.ones(6))
+    return lambda logits, target: ORACLE[ORACLE_OF_VARIANT[name]](logits, target, cfg)
+
+
+def _loss_and_grad_bytes(fn, logits_np, target):
+    logits = Tensor(logits_np.copy(), requires_grad=True)
+    loss = fn(logits, target)
+    loss.backward()
+    return loss.data.tobytes(), logits.grad.tobytes()
+
+
+class TestLossCore:
+    @pytest.mark.parametrize("name", ENTRIES)
+    def test_core_matches_separate_terms_bytewise(self, name):
+        rng = np.random.default_rng(20)
+        for (n, h, w), dtype, weights in itertools.product(
+                CORE_SHAPES, (np.float32, np.float64), (np.ones(6), SPARSE_WEIGHTS)):
+            logits = (3.0 * rng.standard_normal((n, 6, h, w))).astype(dtype)
+            target = rng.integers(0, 6, (n, h, w))
+            got = _loss_and_grad_bytes(_loss_fn(name, weights), logits, target)
+            want = _loss_and_grad_bytes(_oracle_fn(name, weights), logits, target)
+            assert got == want, (name, (n, h, w), dtype.__name__, weights[0])
+
+    def test_one_check_softmax_and_onehot_per_call(self, monkeypatch):
+        calls = Counter()
+        for attr in ("_check_target", "softmax_channel", "_onehot"):
+            def counted(*args, _orig=getattr(L, attr), _attr=attr):
+                calls[_attr] += 1
+                return _orig(*args)
+            monkeypatch.setattr(L, attr, counted)
+        rng = np.random.default_rng(21)
+        logits = Tensor(rng.standard_normal((2, 6, 3, 3)))
+        target = rng.integers(0, 6, (2, 3, 3))
+        for name in ENTRIES:
+            calls.clear()
+            _loss_fn(name, np.ones(6))(logits, target)
+            assert calls == {"_check_target": 1, "softmax_channel": 1, "_onehot": 1}, name
+
+
+class TestTargetCheck:
+    @pytest.mark.parametrize("value,shown", [(np.inf, "inf"), (-np.inf, "-inf"),
+                                             (1e30, "1e+30")])
+    def test_unrepresentable_label_named_as_given_without_warning(self, value, shown):
+        target = np.zeros((1, 2, 2))
+        target[0, 1, 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LabelError) as info:
+                L.weighted_focal(Tensor(np.zeros((1, 6, 2, 2))), target, L.LossConfig())
+        assert f"mask value {shown} at position (0, 1, 1)" in str(info.value)
+        assert str(np.iinfo(np.int64).min) not in str(info.value)
+
+    @pytest.mark.parametrize("value", [2.5, np.nan])
+    def test_non_integer_label_rejected(self, value):
+        target = np.zeros((1, 2, 2))
+        target[0, 0, 1] = value
+        with pytest.raises(LabelError, match="non-integer"):
+            L.focal_logdice(Tensor(np.zeros((1, 6, 2, 2))), target, L.LossConfig())
+
+    def test_integral_float_mask_matches_int_mask_bytewise(self):
+        rng = np.random.default_rng(22)
+        logits = rng.standard_normal((2, 6, 3, 4))
+        target = rng.integers(0, 6, (2, 3, 4))
+        for name, dtype in itertools.product(ENTRIES, (np.float32, np.float64)):
+            fn = _loss_fn(name, SPARSE_WEIGHTS)
+            assert (_loss_and_grad_bytes(fn, logits, target.astype(dtype))
+                    == _loss_and_grad_bytes(fn, logits, target)), (name, dtype)

@@ -32,6 +32,15 @@ C train --config configs/overfit.cfg --set train.epochs=6 \
 C synth --config configs/desk64-phantom.cfg --set data.phantom.slices=48 --out "$O/ph-desk"
 C train --config configs/desk64-train.cfg --set train.epochs=2 \
     --set data.train_dir="$O/ph-desk" --set data.val_dir="$O/ph-desk" --out "$O/desk"
+# the other three loss variants, and FocalLogDice without attention
+for run in CE Focal FocalDice noca; do
+    if [ "$run" = noca ]; then set=arch.ca_enabled=false; else set=loss.variant=$run; fi
+    C train --config configs/overfit.cfg --set train.epochs=2 --set "$set" \
+        --set data.train_dir="$O/ph-overfit" --out "$O/overfit-$run"
+    C eval --config configs/overfit.cfg --set "$set" \
+        --set eval.checkpoint="$O/overfit-$run/last.rckp" \
+        --set data.test_dir="$O/ph-overfit" --out "$O/eval-overfit-$run"
+done
 
 for run in overfit desk; do
     if [ "$run" = overfit ]; then cfg=configs/overfit.cfg; else cfg=configs/desk64-train.cfg; fi
