@@ -7,11 +7,11 @@ Four variants over 6-class logits:
 * FocalDice     - w_f * focal + w_d * (1 - mean soft Dice)
 * FocalLogDice  - w_f * focal + w_d * mean_i (-ln Dice_i)^gamma_d
 
-Each is one call into `_combo`, which checks the mask (integers, or
-floats holding integers), takes the per-pixel channel softmax and builds
-the one-hot once; the focal p_t and the Dice intersection both come from
-`probs * onehot`. Soft Dice is accumulated per class over the whole
-batch, matching the evaluation module's global-count convention.
+Each is one call into `_combo`: one mask check, softmax and one-hot, and
+one `probs * onehot` for both the focal p_t and the Dice intersection.
+Soft Dice is per class over the whole batch, as the evaluation module's
+global counts are. Class weights from pixel counts are Wong et al.'s
+(arXiv:1809.00076) square-root inverse frequencies, scaled to mean 1.
 """
 
 from __future__ import annotations
@@ -71,9 +71,8 @@ class LossConfig:
 
 
 def class_weights_from_counts(counts) -> np.ndarray:
-    """Inverse pixel-frequency weights, normalized to mean 1."""
-    counts = np.asarray(counts, dtype=np.float64)
-    w = 1.0 / np.maximum(counts, 1.0)
+    """Wong's (sum_k f_k / f_l)^0.5 per class, scaled to mean 1; a count of 0 counts as 1."""
+    w = np.maximum(np.asarray(counts, dtype=np.float64), 1.0) ** -0.5
     return w / w.mean()
 
 
