@@ -25,7 +25,7 @@ from .tensor import (
     sigmoid,
 )
 
-_ACTIVATIONS = ("relu", "hardswish")
+ACTIVATIONS = ("relu", "hardswish")
 
 
 @dataclass
@@ -41,9 +41,9 @@ class CAConfig:
             raise ConfigError(f"reduction_ratio must be >= 1, got {self.reduction_ratio}")
         if self.min_mid_channels < 1:
             raise ConfigError(f"min_mid_channels must be >= 1, got {self.min_mid_channels}")
-        if self.activation not in _ACTIVATIONS:
+        if self.activation not in ACTIVATIONS:
             raise ConfigError(
-                f"activation must be one of {_ACTIVATIONS}, got {self.activation!r}"
+                f"activation must be one of {ACTIVATIONS}, got {self.activation!r}"
             )
 
     def mid_channels(self, channels: int) -> int:

@@ -1,20 +1,22 @@
 """Flat `key = value` configuration with namespaced keys.
 
-One registry declares every valid key with its type and default; unknown
-keys are rejected with the full valid-key list. Command-line overrides
-(`--set key=value`) take precedence over file values, which take
-precedence over defaults. Every CLI run dumps the resolved configuration
-so results can be reproduced bit-exactly from it.
+Each field of the kit's config dataclasses is one key, `<section>.<field>`
+unless renamed, whose kind and default are the field's default; only the
+keys with no such field are declared here. Unknown keys are rejected with
+the full valid-key list. Command-line overrides (`--set key=value`) take
+precedence over file values, which take precedence over defaults. Every
+CLI run dumps the resolved configuration so results can be reproduced
+bit-exactly from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .attention import CAConfig
+from .attention import ACTIVATIONS, CAConfig
 from .data import AugmentConfig, PhantomSpec
 from .errors import ConfigError
 from .losses import VARIANTS, LossConfig, class_weights_from_counts
@@ -30,68 +32,49 @@ class _Key:
     kind: str            # int | float | bool | str | floats | ints
     default: object
     choices: tuple = ()
+    cls: type | None = None      # the dataclass whose `field` this key fills
+    field: str = ""
 
+
+_CHOICES = {"loss.variant": VARIANTS, "arch.ca_activation": ACTIVATIONS}
+
+
+def _kind(value) -> str:
+    if isinstance(value, tuple):
+        return "ints" if all(isinstance(v, int) for v in value) else "floats"
+    return {bool: "bool", int: "int", float: "float", str: "str"}[type(value)]
+
+
+def _section(prefix: str, cls, **renames: str) -> dict[str, _Key]:
+    """A key `prefix + field` (or `renames[field]`) per field of `cls` with a
+    plain default; fields built by a factory are filled by their builder."""
+    keys = {}
+    for f in fields(cls):
+        if f.default is not MISSING:
+            key = renames.get(f.name, prefix + f.name)
+            keys[key] = _Key(_kind(f.default), f.default, _CHOICES.get(key, ()), cls, f.name)
+    return keys
+
+
+_PHANTOM = PhantomSpec()
 
 _REGISTRY: dict[str, _Key] = {
-    # architecture
-    "arch.levels": _Key("int", 4),
-    "arch.base_channels": _Key("int", 64),
-    "arch.in_channels": _Key("int", 1),
-    "arch.num_classes": _Key("int", 6),
-    "arch.ca_enabled": _Key("bool", True),
-    "arch.ca_reduction": _Key("int", 32),
-    "arch.ca_min_mid": _Key("int", 8),
-    "arch.ca_activation": _Key("str", "relu", ("relu", "hardswish")),
-    # loss
-    "loss.variant": _Key("str", "FocalLogDice", VARIANTS),
-    "loss.w_focal": _Key("float", 0.4),
-    "loss.w_dice": _Key("float", 0.6),
-    "loss.focal_gamma": _Key("float", 2.0),
-    "loss.dice_gamma": _Key("float", 0.3),
-    "loss.smooth_eps": _Key("float", 1e-5),
+    **_section("arch.", ArchConfig),
+    **_section("arch.ca_", CAConfig, reduction_ratio="arch.ca_reduction",
+               min_mid_channels="arch.ca_min_mid"),
+    **_section("loss.", LossConfig),
     "loss.class_weights": _Key("str", "auto"),   # "auto" or 6 comma-separated reals
-    # training
-    "train.epochs": _Key("int", 100),
-    "train.batch_size": _Key("int", 16),
-    "train.init_lr": _Key("float", 1e-12),
-    "train.max_lr": _Key("float", 1e-4),
-    "train.first_restart_epochs": _Key("int", 50),
-    "train.warmup_epochs": _Key("int", 5),
-    "train.restart_lr_scale": _Key("float", 0.5),
-    "train.restart_period_multiplier": _Key("float", 1.0),
-    "train.adam_beta1": _Key("float", 0.9),
-    "train.adam_beta2": _Key("float", 0.999),
-    "train.adam_eps": _Key("float", 1e-8),
-    "train.seed": _Key("int", 0),
+    **_section("train.", TrainConfig),
     "train.resume": _Key("str", ""),
-    # data locations
     "data.train_dir": _Key("str", ""),
     "data.val_dir": _Key("str", ""),
     "data.test_dir": _Key("str", ""),
-    # augmentation
-    "data.augment": _Key("bool", True),
-    "data.aug_prob": _Key("float", 0.5),
-    "data.rot_degrees": _Key("floats", (5.0, 10.0)),
-    "data.crop_sizes": _Key("ints", (300, 400)),
-    "data.blur_sigma": _Key("floats", (0.5, 1.0)),
-    "data.noise_sigma": _Key("float", 0.01),
-    "data.sp_rate": _Key("float", 0.002),
-    # phantom generator
-    "data.phantom.slices": _Key("int", 1000),
-    "data.phantom.size": _Key("int", 512),
-    "data.phantom.seed": _Key("int", 0),
-    "data.phantom.p_lm": _Key("float", 0.013),
-    "data.phantom.p_lad": _Key("float", 0.060),
-    "data.phantom.p_lcx": _Key("float", 0.045),
-    "data.phantom.p_rca": _Key("float", 0.074),
-    "data.phantom.px_lm": _Key("ints", (5, 60)),
-    "data.phantom.px_lad": _Key("ints", (15, 200)),
-    "data.phantom.px_lcx": _Key("ints", (15, 200)),
-    "data.phantom.px_rca": _Key("ints", (20, 300)),
-    "data.phantom.hu_cac": _Key("floats", (130.0, 800.0)),
-    "data.phantom.hu_bone": _Key("floats", (700.0, 1200.0)),
-    "data.phantom.hu_background": _Key("float", 40.0),
-    # evaluation / inference / scoring
+    **_section("data.", AugmentConfig, enabled="data.augment", prob="data.aug_prob",
+               crop_sides="data.crop_sizes"),
+    **_section("data.phantom.", PhantomSpec, rng_seed="data.phantom.seed"),
+    # one lesion rate and pixel-count range per vessel, PhantomSpec's dicts
+    **{f"data.phantom.p_{v}": _Key("float", p) for v, p in _PHANTOM.p_lesion.items()},
+    **{f"data.phantom.px_{v}": _Key("ints", r) for v, r in _PHANTOM.px_range.items()},
     "eval.checkpoint": _Key("str", ""),
     "eval.per_slice": _Key("bool", False),
     "infer.checkpoint": _Key("str", ""),
@@ -100,7 +83,6 @@ _REGISTRY: dict[str, _Key] = {
     "score.image": _Key("str", ""),
     "score.mask": _Key("str", ""),
     "score.pixel_area_mm2": _Key("float", 1.0),
-    # gradient checking
     "gradcheck.seed": _Key("int", 0),
 }
 
@@ -194,19 +176,18 @@ class Config:
 
     # -- builders ---------------------------------------------------------
 
-    def arch(self) -> ArchConfig:
-        cfg = ArchConfig(
-            levels=self["arch.levels"],
-            base_channels=self["arch.base_channels"],
-            in_channels=self["arch.in_channels"],
-            num_classes=self["arch.num_classes"],
-            ca_enabled=self["arch.ca_enabled"],
-            ca=CAConfig(reduction_ratio=self["arch.ca_reduction"],
-                        min_mid_channels=self["arch.ca_min_mid"],
-                        activation=self["arch.ca_activation"]),
-        )
+    def _fields(self, cls) -> dict:
+        return {spec.field: self._values[k] for k, spec in _REGISTRY.items()
+                if spec.cls is cls}
+
+    def _build(self, cls, **given):
+        """A validated `cls` from its keys' values plus `given` fields."""
+        cfg = cls(**self._fields(cls), **given)
         cfg.validate()
         return cfg
+
+    def arch(self) -> ArchConfig:
+        return self._build(ArchConfig, ca=CAConfig(**self._fields(CAConfig)))
 
     def loss(self, pixel_counts=None) -> LossConfig:
         raw = self["loss.class_weights"]
@@ -226,72 +207,23 @@ class Config:
                 raise ConfigError(
                     f"loss.class_weights needs {self['arch.num_classes']} entries, got {len(weights)}"
                 )
-        cfg = LossConfig(
-            variant=self["loss.variant"],
-            w_focal=self["loss.w_focal"],
-            w_dice=self["loss.w_dice"],
-            focal_gamma=self["loss.focal_gamma"],
-            dice_gamma=self["loss.dice_gamma"],
-            smooth_eps=self["loss.smooth_eps"],
-            class_weights=weights,
-        )
-        cfg.validate()
-        return cfg
+        return self._build(LossConfig, class_weights=weights)
 
     def record_class_weights(self, weights) -> None:
         """Freeze computed 'auto' weights into the resolved config."""
         self._values["loss.class_weights"] = ",".join(repr(float(w)) for w in weights)
 
     def train(self) -> TrainConfig:
-        cfg = TrainConfig(
-            epochs=self["train.epochs"],
-            batch_size=self["train.batch_size"],
-            init_lr=self["train.init_lr"],
-            max_lr=self["train.max_lr"],
-            first_restart_epochs=self["train.first_restart_epochs"],
-            warmup_epochs=self["train.warmup_epochs"],
-            restart_lr_scale=self["train.restart_lr_scale"],
-            restart_period_multiplier=self["train.restart_period_multiplier"],
-            adam_beta1=self["train.adam_beta1"],
-            adam_beta2=self["train.adam_beta2"],
-            adam_eps=self["train.adam_eps"],
-            seed=self["train.seed"],
-        )
-        cfg.validate()
-        return cfg
+        return self._build(TrainConfig)
 
     def augment(self) -> AugmentConfig:
-        cfg = AugmentConfig(
-            enabled=self["data.augment"],
-            prob=self["data.aug_prob"],
-            rot_degrees=self["data.rot_degrees"],
-            crop_sides=self["data.crop_sizes"],
-            blur_sigma=self["data.blur_sigma"],
-            noise_sigma=self["data.noise_sigma"],
-            sp_rate=self["data.sp_rate"],
-        )
-        cfg.validate()
-        return cfg
+        return self._build(AugmentConfig)
 
     def phantom(self) -> PhantomSpec:
-        spec = PhantomSpec(
-            slices=self["data.phantom.slices"],
-            size=self["data.phantom.size"],
-            rng_seed=self["data.phantom.seed"],
-            p_lesion={"lm": self["data.phantom.p_lm"],
-                      "lad": self["data.phantom.p_lad"],
-                      "lcx": self["data.phantom.p_lcx"],
-                      "rca": self["data.phantom.p_rca"]},
-            px_range={"lm": tuple(self["data.phantom.px_lm"]),
-                      "lad": tuple(self["data.phantom.px_lad"]),
-                      "lcx": tuple(self["data.phantom.px_lcx"]),
-                      "rca": tuple(self["data.phantom.px_rca"])},
-            hu_cac=tuple(self["data.phantom.hu_cac"]),
-            hu_bone=tuple(self["data.phantom.hu_bone"]),
-            hu_background=self["data.phantom.hu_background"],
-        )
-        spec.validate()
-        return spec
+        return self._build(
+            PhantomSpec,
+            p_lesion={v: self[f"data.phantom.p_{v}"] for v in _PHANTOM.p_lesion},
+            px_range={v: self[f"data.phantom.px_{v}"] for v in _PHANTOM.px_range})
 
 
 def load_config(path=None, overrides=()) -> Config:

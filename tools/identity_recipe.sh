@@ -32,12 +32,21 @@ C train --config configs/overfit.cfg --set train.epochs=6 \
 C synth --config configs/desk64-phantom.cfg --set data.phantom.slices=48 --out "$O/ph-desk"
 C train --config configs/desk64-train.cfg --set train.epochs=2 \
     --set data.train_dir="$O/ph-desk" --set data.val_dir="$O/ph-desk" --out "$O/desk"
-# the other three loss variants, and FocalLogDice without attention
-for run in CE Focal FocalDice noca; do
-    if [ "$run" = noca ]; then set=arch.ca_enabled=false; else set=loss.variant=$run; fi
-    C train --config configs/overfit.cfg --set train.epochs=2 --set "$set" \
+# the other three loss variants, FocalLogDice without attention, and a run
+# with dataclass-backed keys away from their defaults
+for run in CE Focal FocalDice noca nondefault; do
+    case $run in
+        noca) sets=(--set arch.ca_enabled=false) ;;
+        nondefault) sets=(--set arch.ca_activation=hardswish
+                          --set train.restart_period_multiplier=2
+                          --set loss.class_weights=0.2,0.6,1.4,1.2,1.3,1.3
+                          --set data.augment=true --set data.aug_prob=1.0
+                          --set data.crop_sizes=48,56) ;;
+        *) sets=(--set loss.variant=$run) ;;
+    esac
+    C train --config configs/overfit.cfg --set train.epochs=2 "${sets[@]}" \
         --set data.train_dir="$O/ph-overfit" --out "$O/overfit-$run"
-    C eval --config configs/overfit.cfg --set "$set" \
+    C eval --config configs/overfit.cfg "${sets[@]}" \
         --set eval.checkpoint="$O/overfit-$run/last.rckp" \
         --set data.test_dir="$O/ph-overfit" --out "$O/eval-overfit-$run"
 done
