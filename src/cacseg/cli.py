@@ -24,6 +24,7 @@ from .evaluation import (
     dice_report_tsv,
     export_prediction,
 )
+from .losses import resolve_variant
 from .network import forward, load_model
 from .tensor import Tensor, load_tns, no_grad
 
@@ -57,7 +58,7 @@ def cmd_train(cfg: Config, args) -> int:
     train_ds = _dataset(cfg, "data.train_dir")
     val_ds = _dataset(cfg, "data.val_dir", fallback="data.train_dir")
     loss_cfg = cfg.loss(pixel_counts=train_ds.pixel_counts())
-    cfg.record_class_weights(loss_cfg.class_weights)
+    cfg.record_class_weights(resolve_variant(loss_cfg).class_weights)
     train_cfg = cfg.train()
     aug_cfg = cfg.augment()
     resume = cfg["train.resume"] or None

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import ACTIVATIONS, CAConfig
-from .data import AugmentConfig, PhantomSpec
+from .data import NUM_CLASSES, AugmentConfig, PhantomSpec
 from .errors import ConfigError
 from .losses import VARIANTS, LossConfig, class_weights_from_counts
 from .network import ArchConfig
@@ -193,7 +193,7 @@ class Config:
         raw = self["loss.class_weights"]
         if raw == "auto":
             if pixel_counts is None:
-                weights = np.ones(self["arch.num_classes"])
+                weights = np.ones(NUM_CLASSES)
             else:
                 weights = class_weights_from_counts(pixel_counts)
         else:
@@ -203,10 +203,9 @@ class Config:
                 raise ConfigError(
                     f"loss.class_weights must be 'auto' or comma-separated reals, got {raw!r}"
                 ) from None
-            if len(weights) != self["arch.num_classes"]:
+            if len(weights) != NUM_CLASSES:
                 raise ConfigError(
-                    f"loss.class_weights needs {self['arch.num_classes']} entries, got {len(weights)}"
-                )
+                    f"loss.class_weights needs {NUM_CLASSES} entries, got {len(weights)}")
         return self._build(LossConfig, class_weights=weights)
 
     def record_class_weights(self, weights) -> None:

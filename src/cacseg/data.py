@@ -76,6 +76,11 @@ def hu_normalize(hu: np.ndarray) -> np.ndarray:
     return (clipped - HU_LO) / HU_WINDOW
 
 
+def _check_range(name: str, values: tuple) -> None:
+    if len(values) != 2:
+        raise ConfigError(f"{name} must be a (lo, hi) range of 2 values, got {len(values)}")
+
+
 # -- augmentation -------------------------------------------------------------
 
 
@@ -92,6 +97,9 @@ class AugmentConfig:
     def validate(self) -> None:
         if not 0.0 <= self.prob <= 1.0:
             raise ConfigError(f"augment prob must be in [0,1], got {self.prob}")
+        if not self.rot_degrees or not self.crop_sides:
+            raise ConfigError("rotation magnitudes and crop sides need at least one value each")
+        _check_range("blur_sigma", self.blur_sigma)
         if any(d <= 0 for d in self.rot_degrees):
             raise ConfigError("rotation magnitudes must be positive")
         if any(s < 2 for s in self.crop_sides):
@@ -193,9 +201,12 @@ class PhantomSpec:
             p = self.p_lesion[name]
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"p_{name} must be in [0,1], got {p}")
+            _check_range(f"px_{name}", self.px_range[name])
             lo, hi = self.px_range[name]
             if lo < 1 or hi < lo:
                 raise ConfigError(f"px_{name} range ({lo},{hi}) invalid")
+        _check_range("hu_cac", self.hu_cac)
+        _check_range("hu_bone", self.hu_bone)
         if self.hu_cac[0] >= self.hu_cac[1] or self.hu_bone[0] >= self.hu_bone[1]:
             raise ConfigError("HU ranges must be increasing")
 

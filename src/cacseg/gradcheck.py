@@ -21,6 +21,7 @@ import numpy as np
 from . import losses as L
 from . import network, tensor as T
 from .attention import CAConfig, ca_forward, init_ca
+from .data import NUM_CLASSES
 from .network import ArchConfig, init_rica, rica_forward
 from .params import ParameterStore
 from .tensor import Tensor, record_switches
@@ -252,7 +253,7 @@ def check_network(seed: int = 0) -> CheckResult:
     store = network.build(arch, rng_seed=seed).to_double()
     rng = np.random.default_rng(seed + 100)
     x = Tensor(rng.standard_normal((1, 1, 16, 16)), requires_grad=True)
-    r = Tensor(rng.standard_normal((1, arch.num_classes, 16, 16)))
+    r = Tensor(rng.standard_normal((1, NUM_CLASSES, 16, 16)))
     leaves = {"input": x, **dict(store.items())}
     return check_gradients(
         "network_end_to_end",

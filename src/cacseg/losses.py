@@ -170,10 +170,17 @@ _BY_VARIANT = {"CE": weighted_focal, "Focal": weighted_focal,
                "FocalDice": focal_dice, "FocalLogDice": focal_logdice}
 
 
+def resolve_variant(cfg: LossConfig) -> LossConfig:
+    """The validated settings cfg.variant's loss computes with: CE is the
+    focal loss at gamma 0 with unit class weights."""
+    cfg.validate()
+    if cfg.variant == "CE":
+        return replace(cfg, focal_gamma=0.0, class_weights=np.ones(cfg.num_classes))
+    return cfg
+
+
 def loss_by_variant(cfg: LossConfig):
     """Return the (logits, target) -> scalar loss for cfg.variant."""
-    cfg.validate()
+    cfg = resolve_variant(cfg)
     loss = _BY_VARIANT[cfg.variant]
-    if cfg.variant == "CE":
-        cfg = replace(cfg, focal_gamma=0.0, class_weights=np.ones(cfg.num_classes))
     return lambda logits, target: loss(logits, target, cfg)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import CAConfig, ca_forward, init_ca
+from .data import NUM_CLASSES
 from .errors import ConfigError, ContractError, DimensionError
 from .params import ParameterStore, kaiming_conv, load_checkpoint
 from .tensor import (
@@ -30,18 +31,18 @@ from .tensor import (
     upsample_bilinear2,
 )
 
+IN_CHANNELS = 1      # one HU channel per slice
+
 
 @dataclass
 class ArchConfig:
     levels: int = 4
     base_channels: int = 64
-    in_channels: int = 1
-    num_classes: int = 6
     ca_enabled: bool = True
     ca: CAConfig = field(default_factory=CAConfig)
 
     def validate(self) -> None:
-        for name in ("levels", "base_channels", "in_channels", "num_classes"):
+        for name in ("levels", "base_channels"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
@@ -106,7 +107,7 @@ def build(arch: ArchConfig, rng_seed: int) -> ParameterStore:
     store = ParameterStore()
     store.arch = arch
 
-    cin = arch.in_channels
+    cin = IN_CHANNELS
     for k in range(arch.levels + 1):
         cout = arch.base_channels * (2 ** k)
         init_rica(store, f"enc{k}.rica", cin, cout, arch.ca, rng, arch.ca_enabled)
@@ -121,8 +122,8 @@ def build(arch: ArchConfig, rng_seed: int) -> ParameterStore:
         _init_conv_bn(store, f"dec{k}.c2", c_skip, c_skip, 3, rng)
 
     store.add_param("head.conv.weight",
-                    kaiming_conv(rng, arch.num_classes, arch.base_channels, 1, 1))
-    store.add_param("head.conv.bias", np.zeros(arch.num_classes, np.float32))
+                    kaiming_conv(rng, NUM_CLASSES, arch.base_channels, 1, 1))
+    store.add_param("head.conv.bias", np.zeros(NUM_CLASSES, np.float32))
     return store
 
 
@@ -134,8 +135,8 @@ def forward(store: ParameterStore, batch: Tensor, training: bool = False) -> Ten
     if batch.ndim != 4:
         raise DimensionError(f"batch must be 4D (N,C,H,W), got shape {batch.shape}")
     n, c, h, w = batch.shape
-    if c != arch.in_channels:
-        raise DimensionError(f"batch has {c} channels, expected {arch.in_channels}")
+    if c != IN_CHANNELS:
+        raise DimensionError(f"batch has {c} channels, expected {IN_CHANNELS}")
     required = 2 ** arch.levels
     if h % required or w % required:
         raise DimensionError(

@@ -1,17 +1,65 @@
 """Config parsing and end-to-end CLI tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cacseg import data as D
 from cacseg import training as TR
+from cacseg.attention import CAConfig
 from cacseg.cli import main
-from cacseg.config import Config, load_config
+from cacseg.config import _REGISTRY, Config, _format_value, load_config
 from cacseg.errors import ConfigError
 from cacseg.evaluation import dice_per_slice_mean
-from cacseg.network import build, forward
+from cacseg.losses import LossConfig
+from cacseg.network import ArchConfig, build, forward
 from cacseg.params import save_checkpoint
 from cacseg.tensor import Tensor, load_tns, save_tns
+
+
+BUILDERS = {ArchConfig: Config.arch, CAConfig: lambda cfg: cfg.arch().ca,
+            LossConfig: Config.loss, TR.TrainConfig: Config.train,
+            D.AugmentConfig: Config.augment, D.PhantomSpec: Config.phantom}
+SECTIONS = {ArchConfig: "arch.", CAConfig: "arch.ca_", LossConfig: "loss.",
+            TR.TrainConfig: "train.", D.AugmentConfig: "data.", D.PhantomSpec: "data.phantom."}
+RENAMED = {(CAConfig, "reduction_ratio"): "arch.ca_reduction",
+           (CAConfig, "min_mid_channels"): "arch.ca_min_mid",
+           (D.AugmentConfig, "enabled"): "data.augment",
+           (D.AugmentConfig, "prob"): "data.aug_prob",
+           (D.AugmentConfig, "crop_sides"): "data.crop_sizes",
+           (D.PhantomSpec, "rng_seed"): "data.phantom.seed"}
+# key -> (dataclass, field) for every field with a plain default
+FIELD_KEYS = {RENAMED.get((cls, f.name), prefix + f.name): (cls, f.name)
+              for cls, prefix in SECTIONS.items() for f in dataclasses.fields(cls)
+              if f.default is not dataclasses.MISSING}
+
+
+def _same(a, b) -> bool:
+    """Equal type and value, field by field through nested dataclasses."""
+    if type(a) is not type(b):
+        return False
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+def _non_default(spec):
+    """A value of spec's kind other than its default that every validate accepts."""
+    if spec.choices:
+        return next(c for c in spec.choices if c != spec.default)
+    if spec.kind == "bool":
+        return not spec.default
+    if spec.kind == "int":
+        return spec.default + 1
+    if spec.kind == "float":
+        return spec.default * 1.5
+    if spec.kind == "ints":
+        return tuple(v + 1 for v in spec.default)
+    return tuple(v * 1.5 for v in spec.default)
 
 
 class TestConfig:
@@ -65,6 +113,35 @@ class TestConfig:
         with pytest.raises(ConfigError, match="levels"):
             cfg.arch()
 
+    @pytest.mark.parametrize("key", sorted(FIELD_KEYS))
+    def test_dataclass_key_reaches_its_field(self, key):
+        cls, name = FIELD_KEYS[key]
+        spec = _REGISTRY[key]
+        value = _non_default(spec)
+        built = BUILDERS[cls](load_config(None, [f"{key}={_format_value(spec, value)}"]))
+        default = BUILDERS[cls](Config())
+        expected = dataclasses.replace(default, **{name: value})
+        expected.validate()
+        assert _same(built, expected)
+        assert not _same(getattr(built, name), getattr(default, name))
+
+    def test_vessel_keys_fill_phantom_dicts(self):
+        p_lesion = {"lm": 0.1, "lad": 0.2, "lcx": 0.3, "rca": 0.4}
+        px_range = {"lm": (1, 2), "lad": (3, 4), "lcx": (5, 6), "rca": (7, 8)}
+        spec = load_config(None, [f"data.phantom.p_{v}={p}" for v, p in p_lesion.items()]
+                           + [f"data.phantom.px_{v}={lo},{hi}"
+                              for v, (lo, hi) in px_range.items()]).phantom()
+        assert spec.p_lesion == p_lesion and spec.px_range == px_range
+
+    def test_default_builds_equal_dataclass_defaults(self):
+        cfg = Config()
+        for built, default in ((cfg.arch(), ArchConfig()), (cfg.loss(), LossConfig()),
+                               (cfg.train(), TR.TrainConfig()),
+                               (cfg.augment(), D.AugmentConfig()),
+                               (cfg.phantom(), D.PhantomSpec())):
+            default.validate()
+            assert _same(built, default), type(default).__name__
+
     def test_auto_weights_from_counts(self):
         cfg = Config()
         loss = cfg.loss(pixel_counts=np.array([1000, 100, 1, 10, 10, 10]))
@@ -94,6 +171,9 @@ def micro_dataset(tmp_path_factory):
 TINY_NET = ["--set", "arch.levels=2", "--set", "arch.base_channels=2",
             "--set", "arch.ca_reduction=4", "--set", "arch.ca_min_mid=2"]
 TINY_AUG = ["--set", "data.crop_sizes=12,14"]
+SHORT_TRAIN = ["--set", "train.epochs=2", "--set", "train.batch_size=5",
+               "--set", "train.max_lr=1e-3", "--set", "train.first_restart_epochs=4",
+               "--set", "train.warmup_epochs=1"]
 
 
 class TestCli:
@@ -123,11 +203,7 @@ class TestCli:
         run = tmp_path / "run"
         rc = main(["train", "--out", str(run),
                    "--set", f"data.train_dir={micro_dataset}",
-                   "--set", "train.epochs=2", "--set", "train.batch_size=5",
-                   "--set", "train.max_lr=1e-3",
-                   "--set", "train.first_restart_epochs=4",
-                   "--set", "train.warmup_epochs=1",
-                   *TINY_NET, *TINY_AUG])
+                   *SHORT_TRAIN, *TINY_NET, *TINY_AUG])
         assert rc == 0
         assert (run / "metrics.tsv").is_file()
         assert (run / "best.rckp").is_file()
@@ -200,10 +276,27 @@ class TestCli:
         assert "config error" in err and "FocalLogDice" in err
 
     def test_unknown_key_exits_1(self, capsys):
-        rc = main(["synth", "--out", "/tmp/unused-cacseg",
-                   "--set", "data.bogus=1"])
+        # the data fixes one input channel and six classes: neither is a key
+        for pair in ("data.bogus=1", "arch.num_classes=4", "arch.in_channels=3"):
+            rc = main(["synth", "--out", "/tmp/unused-cacseg", "--set", pair])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: unknown config key") and "valid keys" in err
+
+    @pytest.mark.parametrize("cmd, pair, message", [
+        ("train", "data.crop_sizes=", "crop sides need at least one value"),
+        ("train", "data.rot_degrees=", "rotation magnitudes and crop sides need"),
+        ("train", "data.blur_sigma=0.5", "blur_sigma must be a (lo, hi) range of 2"),
+        ("synth", "data.phantom.px_lm=5", "px_lm must be a (lo, hi) range of 2"),
+        ("synth", "data.phantom.hu_cac=130", "hu_cac must be a (lo, hi) range of 2"),
+    ])
+    def test_wrong_length_value_list_exits_1(self, cmd, pair, message, micro_dataset,
+                                             tmp_path, capsys):
+        rc = main([cmd, "--out", str(tmp_path / "out"), "--set", pair,
+                   "--set", f"data.train_dir={micro_dataset}", *TINY_NET])
         assert rc == 1
-        assert "valid keys" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
 
     def test_missing_dataset_exits_1(self, capsys):
         rc = main(["train", "--out", "/tmp/unused-cacseg"])
@@ -221,16 +314,25 @@ class TestCli:
         first = tmp_path / "first"
         args = ["train", "--out", str(first),
                 "--set", f"data.train_dir={micro_dataset}",
-                "--set", "train.epochs=2", "--set", "train.batch_size=5",
-                "--set", "train.max_lr=1e-3",
-                "--set", "train.first_restart_epochs=4",
-                "--set", "train.warmup_epochs=1",
-                *TINY_NET, *TINY_AUG]
+                *SHORT_TRAIN, *TINY_NET, *TINY_AUG]
         assert main(args) == 0
         second = tmp_path / "second"
         assert main(["train", "--config", str(first / "resolved.cfg"),
                      "--out", str(second)]) == 0
         assert ((first / "metrics.tsv").read_bytes()
                 == (second / "metrics.tsv").read_bytes())
+        assert ((first / "last.rckp").read_bytes()
+                == (second / "last.rckp").read_bytes())
+
+    def test_ce_run_records_the_unit_weights_it_trains_with(self, micro_dataset, tmp_path):
+        first = tmp_path / "first"
+        assert main(["train", "--out", str(first), "--set", "loss.variant=CE",
+                     "--set", f"data.train_dir={micro_dataset}",
+                     *SHORT_TRAIN, *TINY_NET, *TINY_AUG]) == 0
+        lines = (first / "resolved.cfg").read_text().splitlines()
+        assert "loss.class_weights = 1.0,1.0,1.0,1.0,1.0,1.0" in lines
+        second = tmp_path / "second"
+        assert main(["train", "--config", str(first / "resolved.cfg"),
+                     "--out", str(second)]) == 0
         assert ((first / "last.rckp").read_bytes()
                 == (second / "last.rckp").read_bytes())
