@@ -4,7 +4,8 @@ The attention module factorizes spatial attention into two 1D encodings:
 the feature map is average-pooled along each spatial axis, the pooled
 maps are fused through a shared bottleneck conv, split back, and turned
 into per-axis sigmoid gates that multiply the input. The residual block
-that runs it on its skip path (RICA) lives in `cacseg.network`.
+that runs it on its skip path (RICA) lives in `cacseg.network`, which
+builds every conv-BN pair of the net with this module's `conv_bn`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .tensor import (
     concat,
     conv2d,
     directional_avgpool,
+    fold_batchnorm,
     relu,
     sigmoid,
 )
@@ -68,6 +70,22 @@ def _nonlinear(x: Tensor, cfg: CAConfig) -> Tensor:
     return relu(x)
 
 
+def conv_bn(x: Tensor, store: ParameterStore, weight: str, bn: str, training: bool,
+            padding: int = 0) -> Tensor:
+    """Bias-free conv with weight `weight`, then batch norm `bn`.
+
+    Training mode runs the two ops. Eval mode folds the stored moments and
+    the affine into the conv (`fold_batchnorm`) and runs one conv with a
+    bias, so no batch-norm pass touches the activation.
+    """
+    w = store.param(weight)
+    gamma, beta = store.param(f"{bn}.gamma"), store.param(f"{bn}.beta")
+    state = store.moments(bn)
+    if training:
+        return batchnorm2d(conv2d(x, w, padding=padding), gamma, beta, state, True)
+    return conv2d(x, *fold_batchnorm(w, gamma, beta, state), padding=padding)
+
+
 def init_ca(store: ParameterStore, prefix: str, channels: int, cfg: CAConfig,
             rng: np.random.Generator) -> None:
     """Add the attention module's parameters under `prefix`."""
@@ -103,11 +121,7 @@ def ca_forward(x: Tensor, store: ParameterStore, prefix: str, cfg: CAConfig,
     pooled_h = directional_avgpool(x, "width")            # N,C,H,1
     pooled_w = directional_avgpool(x, "height")           # N,C,1,W
     y = concat([pooled_h, pooled_w.transpose((0, 1, 3, 2))], axis=2)  # N,C,H+W,1
-    y = conv2d(y, w1)
-    y = batchnorm2d(y, store.param(f"{prefix}.bn.gamma"),
-                    store.param(f"{prefix}.bn.beta"),
-                    store.moments(f"{prefix}.bn"), training)
-    y = _nonlinear(y, cfg)
+    y = _nonlinear(conv_bn(y, store, f"{prefix}.conv1.weight", f"{prefix}.bn", training), cfg)
     part_h = y.narrow(2, 0, h)                            # N,mid,H,1
     part_w = y.narrow(2, h, w).transpose((0, 1, 3, 2))    # N,mid,1,W
     a_h = sigmoid(conv2d(part_h, store.param(f"{prefix}.convh.weight")))

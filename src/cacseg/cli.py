@@ -13,6 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import data as D
 from . import gradcheck as G
 from . import training as TR
@@ -58,7 +60,7 @@ def cmd_train(cfg: Config, args) -> int:
     train_ds = _dataset(cfg, "data.train_dir")
     val_ds = _dataset(cfg, "data.val_dir", fallback="data.train_dir")
     loss_cfg = cfg.loss(pixel_counts=train_ds.pixel_counts())
-    cfg.record_class_weights(resolve_variant(loss_cfg).class_weights)
+    cfg.record_loss(resolve_variant(loss_cfg))
     train_cfg = cfg.train()
     aug_cfg = cfg.augment()
     resume = cfg["train.resume"] or None
@@ -81,26 +83,31 @@ def _checkpoint(cfg: Config, key: str):
     return store
 
 
-def _predictions(store, ds: D.Dataset, count: int):
-    """Eval-mode logits (C,H,W) of the first `count` samples, one at a time."""
-    for i in range(count):
-        s = ds.sample(i)
+def _predictions(store, ds: D.Dataset, count: int, batch_size: int):
+    """Eval-mode logits (C,H,W) and sample of each of the first `count`
+    samples, forwarded `batch_size` at a time. A slice's logits do not
+    depend on the batch it ran in."""
+    for start in range(0, count, batch_size):
+        samples = [ds.sample(i) for i in range(start, min(start + batch_size, count))]
         with no_grad():
-            logits = forward(store, Tensor(D.preprocess(s)[None]), training=False)
-        yield logits.data[0], s
+            logits = forward(store, Tensor(np.stack([D.preprocess(s) for s in samples])),
+                             training=False)
+        yield from zip(logits.data, samples)
 
 
 def cmd_eval(cfg: Config, args) -> int:
     out = _out_dir(args)
     store = _checkpoint(cfg, "eval.checkpoint")
     test_ds = _dataset(cfg, "data.test_dir")
+    batch = cfg.train().batch_size
     cfg.dump(out / RESOLVED_NAME)
     if cfg["eval.per_slice"]:
-        dice = dice_per_slice_mean((logits.argmax(axis=0), s.mask) for logits, s
-                                   in _predictions(store, test_ds, len(test_ds)))
+        dice = dice_per_slice_mean(
+            (logits.argmax(axis=0), s.mask) for logits, s
+            in _predictions(store, test_ds, len(test_ds), batch))
         mode = "per-slice mean"
     else:
-        dice = TR.evaluate_dice(store, test_ds, cfg["train.batch_size"])
+        dice = TR.evaluate_dice(store, test_ds, batch)
         mode = "global counts"
     body = dice_report_tsv(dice)
     path = out / "dice.tsv"
@@ -118,8 +125,9 @@ def cmd_infer(cfg: Config, args) -> int:
         raise ConfigError("infer.input_dir must point to a dataset directory")
     ds = D.Dataset(in_dir)
     count = min(cfg["infer.limit"] or len(ds), len(ds))
+    batch = cfg.train().batch_size
     cfg.dump(out / RESOLVED_NAME)
-    for logits, s in _predictions(store, ds, count):
+    for logits, s in _predictions(store, ds, count, batch):
         export_prediction(logits, out / s.slice_id, hu_image=s.image)
     print(f"wrote {count} predictions to {out}")
     return 0

@@ -101,10 +101,12 @@ def _parse_value(key: str, spec: _Key, raw: str):
             if low in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        if spec.kind == "floats":
-            return tuple(float(x) for x in raw.split(",") if x.strip())
-        if spec.kind == "ints":
-            return tuple(int(x) for x in raw.split(",") if x.strip())
+        if spec.kind in ("floats", "ints"):
+            items = raw.split(",") if raw else []
+            if any(not x.strip() for x in items):
+                raise ConfigError(f"{key} = {raw!r} has an empty list item")
+            parse = float if spec.kind == "floats" else int
+            return tuple(parse(x) for x in items)
         return raw
     except ValueError:
         raise ConfigError(f"cannot parse {key} = {raw!r} as {spec.kind}") from None
@@ -208,9 +210,13 @@ class Config:
                     f"loss.class_weights needs {NUM_CLASSES} entries, got {len(weights)}")
         return self._build(LossConfig, class_weights=weights)
 
-    def record_class_weights(self, weights) -> None:
-        """Freeze computed 'auto' weights into the resolved config."""
-        self._values["loss.class_weights"] = ",".join(repr(float(w)) for w in weights)
+    def record_loss(self, resolved: LossConfig) -> None:
+        """Freeze the class weights and focal gamma a run trains with into
+        the resolved config: computed 'auto' weights, and CE's unit
+        weights and gamma 0."""
+        self._values["loss.class_weights"] = ",".join(
+            repr(float(w)) for w in resolved.class_weights)
+        self._values["loss.focal_gamma"] = float(resolved.focal_gamma)
 
     def train(self) -> TrainConfig:
         return self._build(TrainConfig)

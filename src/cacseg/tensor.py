@@ -49,6 +49,7 @@ __all__ = [
     "upsample_bilinear2",
     "directional_avgpool",
     "batchnorm2d",
+    "fold_batchnorm",
     "save_tns",
     "load_tns",
     "tns_encode",
@@ -428,22 +429,26 @@ def _spread(g: np.ndarray, in_shape: tuple, axis, keepdims: bool) -> np.ndarray:
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0). The sign mask is built only when a backward can use it or
+    ``record_switches`` is open."""
+    out_data = np.maximum(x.data, 0)
+    if not (_grad_enabled and x.requires_grad) and _switch_trace is None:
+        return Tensor._make(out_data, (x,), None)
     mask = x.data > 0
     _trace(mask)
 
     def bw(g):
         x._accum(g * mask)
 
-    return Tensor._make(np.maximum(x.data, 0), (x,), bw)
+    return Tensor._make(out_data, (x,), bw)
 
 
 def sigmoid(x: Tensor) -> Tensor:
+    """Logistic function from exp(-|x|), which cannot overflow."""
     d = x.data
-    out_data = np.empty_like(d)
-    pos = d >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(d))
+    den = 1.0 + e
+    out_data = np.where(d >= 0, 1.0 / den, e / den)
 
     def bw(g):
         x._accum(g * out_data * (1.0 - out_data))
@@ -722,21 +727,24 @@ def _lerp_matrix(length: int, dtype) -> np.ndarray:
 
 def upsample_bilinear2(x: Tensor) -> Tensor:
     """Double H and W by bilinear interpolation (half-pixel convention,
-    same as common align_corners=False)."""
+    same as common align_corners=False).
+
+    Two matmuls per image and channel, ``Mh @ x @ Mw.T``, backward
+    ``Mh.T @ (g @ Mw)``: each writes a contiguous result, so no transpose
+    or copy follows, and each image's GEMMs have the same shapes in any
+    batch, so its output does not depend on the batch it came in.
+    """
     if x.ndim != 4:
         raise DimensionError(f"upsample_bilinear2 input must be 4D, got shape {x.shape}")
     n, c, h, w = x.shape
     mh = _lerp_matrix(h, x.dtype)
     mw = _lerp_matrix(w, x.dtype)
-    yh = np.tensordot(mh, x.data, axes=([1], [2])).transpose(1, 2, 0, 3)
-    out_data = np.tensordot(mw, yh, axes=([1], [3])).transpose(1, 2, 3, 0)
+    out_data = np.matmul(np.matmul(mh, x.data), mw.T)
 
     def bw(g):
-        gh = np.tensordot(mw.T, g, axes=([1], [3])).transpose(1, 2, 3, 0)
-        gx = np.tensordot(mh.T, gh, axes=([1], [2])).transpose(1, 2, 0, 3)
-        x._accum(np.ascontiguousarray(gx))
+        x._accum(np.matmul(mh.T, np.matmul(g, mw)))
 
-    return Tensor._make(np.ascontiguousarray(out_data), (x,), bw)
+    return Tensor._make(out_data, (x,), bw)
 
 
 def directional_avgpool(x: Tensor, axis: str) -> Tensor:
@@ -755,7 +763,7 @@ def directional_avgpool(x: Tensor, axis: str) -> Tensor:
     else:
         raise DimensionError(f"directional_avgpool axis must be 'height' or 'width', got {axis!r}")
     extent = x.shape[ax]
-    out_data = x.data.mean(axis=ax, keepdims=True)
+    out_data = x.data.sum(axis=ax, keepdims=True) / extent
 
     def bw(g):
         x._accum(np.broadcast_to(g / extent, x.shape))
@@ -798,6 +806,30 @@ def _channel_sum(a: np.ndarray) -> np.ndarray:
     """
     n, c = a.shape[:2]
     return a.reshape(n, c, -1).sum(axis=2).sum(axis=0)
+
+
+def _eval_moments(state: RunningMoments, dtype, eps: float) -> tuple:
+    """The stored mean and ``1 / sqrt(var + eps)`` in `dtype`, as eval-mode
+    batch norm applies them."""
+    return state.mean.astype(dtype), (1.0 / np.sqrt(state.var + eps)).astype(dtype)
+
+
+def fold_batchnorm(weight: Tensor, gamma: Tensor, beta: Tensor, state: RunningMoments,
+                   eps: float = 1e-5) -> tuple[Tensor, Tensor]:
+    """Weight and bias of the one conv that computes conv -> eval-mode BN.
+
+    With ``scale = gamma * ivar`` (``ivar`` as eval-mode ``batchnorm2d``
+    computes it), ``w' = w * scale`` per output channel and
+    ``b' = beta - mean * scale`` (Jacob et al., arXiv:1712.05877 §3.2).
+    The product is rounded in another order than the unfused pair, so the
+    conv output agrees with it to a tolerance, not to the byte. Built from
+    Tensor ops, so gradients reach `weight`, `gamma` and `beta`.
+    """
+    mean, ivar = _eval_moments(state, weight.dtype, eps)
+    scale = gamma * Tensor(ivar, check=False)
+    w = weight * scale.reshape(-1, 1, 1, 1)
+    b = beta - Tensor(mean, check=False) * scale
+    return w, b
 
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: RunningMoments,
@@ -864,8 +896,9 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: RunningMoments,
 
         return Tensor._make(out_data, (x, gamma, beta), bw)
 
-    ivar = (1.0 / np.sqrt(state.var + eps)).astype(d.dtype).reshape(1, c, 1, 1)
-    xhat = d - state.mean.astype(d.dtype).reshape(1, c, 1, 1)
+    mean, ivar = _eval_moments(state, d.dtype, eps)
+    ivar = ivar.reshape(1, c, 1, 1)
+    xhat = d - mean.reshape(1, c, 1, 1)
     xhat *= ivar
     out_data = np.multiply(g_d, xhat)
     out_data += beta_d

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cacseg.attention import AttentionMaps, CAConfig, ca_forward, init_ca
+from cacseg.attention import AttentionMaps, CAConfig, ca_forward, conv_bn, init_ca
 from cacseg.errors import ConfigError, DimensionError
 from cacseg.gradcheck import NET_TOL, check_attention, check_gradients
 from cacseg.network import init_rica, rica_forward
@@ -150,10 +150,7 @@ class TestRicaForward:
         y = rica_forward(x, store, "blk", CFG, training=False)
         main = rica_forward(x, store, "blk", CFG, training=False, ca_enabled=False)
         skip = ca_forward(x, store, "blk.ca", CFG, training=False)
-        skip = conv2d(skip, store.param("blk.pjs.conv.weight"))
-        skip = batchnorm2d(skip, store.param("blk.pjs.bn.gamma"),
-                           store.param("blk.pjs.bn.beta"),
-                           store.moments("blk.pjs.bn"), training=False)
+        skip = conv_bn(skip, store, "blk.pjs.conv.weight", "blk.pjs.bn", training=False)
         assert y.data.tobytes() == (main.data + skip.data).tobytes()
 
     def test_spatial_dims_preserved_channels_mapped(self):

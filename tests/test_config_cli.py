@@ -298,6 +298,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
 
+    @pytest.mark.parametrize("value", ["48,,56", "48,", ",48", "48, ,56"])
+    def test_empty_list_item_exits_1(self, value, tmp_path, capsys):
+        rc = main(["synth", "--out", str(tmp_path / "out"),
+                   "--set", f"data.crop_sizes={value}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "empty list item" in err
+        with pytest.raises(ConfigError, match="empty list item"):
+            load_config(None, [f"data.rot_degrees={value}"])
+
     def test_missing_dataset_exits_1(self, capsys):
         rc = main(["train", "--out", "/tmp/unused-cacseg"])
         assert rc == 1
@@ -331,8 +341,29 @@ class TestCli:
                      *SHORT_TRAIN, *TINY_NET, *TINY_AUG]) == 0
         lines = (first / "resolved.cfg").read_text().splitlines()
         assert "loss.class_weights = 1.0,1.0,1.0,1.0,1.0,1.0" in lines
+        assert "loss.focal_gamma = 0.0" in lines
         second = tmp_path / "second"
         assert main(["train", "--config", str(first / "resolved.cfg"),
                      "--out", str(second)]) == 0
         assert ((first / "last.rckp").read_bytes()
                 == (second / "last.rckp").read_bytes())
+
+    def test_infer_exports_do_not_depend_on_the_batch(self, micro_dataset, tmp_path):
+        store = build(load_config(None, TINY_NET[1::2]).arch(), rng_seed=4)
+        rng = np.random.default_rng(4)
+        for bn, m in store.moments_items():    # a fold that is not the identity
+            m.mean[:] = rng.standard_normal(m.mean.shape)
+            m.var[:] = rng.uniform(0.2, 3.0, m.var.shape)
+        ckpt = tmp_path / "net.rckp"
+        save_checkpoint(ckpt, store.state_entries())
+        exports = {}
+        for batch in (1, 3, 16):
+            out = tmp_path / f"infer-{batch}"
+            assert main(["infer", "--out", str(out), "--set", f"infer.checkpoint={ckpt}",
+                         "--set", f"infer.input_dir={micro_dataset}",
+                         "--set", "infer.limit=5", "--set", f"train.batch_size={batch}",
+                         *TINY_NET]) == 0
+            exports[batch] = {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                              if p.suffix in (".tns", ".ppm")}
+        assert len(exports[1]) == 10
+        assert exports[1] == exports[3] == exports[16]

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from cacseg import attention, network
 from cacseg.errors import ConfigError, DataIOError, DimensionError
 from cacseg.network import ArchConfig, build, forward, load_model
 from cacseg.params import save_checkpoint
-from cacseg.tensor import Tensor, softmax_channel
+from cacseg.tensor import Tensor, batchnorm2d, conv2d, softmax_channel
 
 TINY = ArchConfig(levels=2, base_channels=4)
 
@@ -105,8 +106,8 @@ class TestForward:
             np.testing.assert_array_equal(m.mean, before[name])
 
     def test_eval_forward_is_batch_invariant(self):
-        # Inference exports batch-1 predictions; they must equal the same
-        # slices' rows of a batched forward, byte for byte.
+        # Inference and eval forward train.batch_size slices at a time; a
+        # slice's logits must not depend on the batch it ran in, to the byte.
         store = build(ArchConfig(levels=2, base_channels=8), rng_seed=5)
         rng = np.random.default_rng(5)
         forward(store, Tensor(rng.standard_normal((4, 1, 32, 32)).astype(np.float32)),
@@ -170,3 +171,93 @@ class TestCheckpoint:
         raw = path.read_bytes()
         assert raw[:4] == b"RCKP"
         assert int.from_bytes(raw[4:8], "little") == 1
+
+
+def conv_bn_unfused(x, store, weight, bn, training, padding=0):
+    """The conv -> batch-norm pair as two ops, the form eval mode folds."""
+    return batchnorm2d(conv2d(x, store.param(weight), padding=padding),
+                       store.param(f"{bn}.gamma"), store.param(f"{bn}.beta"),
+                       store.moments(bn), training)
+
+
+def fold_tolerance(y: np.ndarray) -> float:
+    """The documented bound on |folded - unfused|: 32 machine epsilons of
+    the dtype times the largest output magnitude."""
+    return 32 * np.finfo(y.dtype).eps * float(np.abs(y).max())
+
+
+def conv_bn_sites(store):
+    """(weight name, BN prefix) of every conv -> BN pair in the store."""
+    return [(bn[:-3] + (".conv1.weight" if bn.endswith(".ca.bn") else ".conv.weight"), bn)
+            for bn, _ in store.moments_items()]
+
+
+@pytest.fixture(params=[np.float32, np.float64], ids=["f32", "f64"])
+def trained_like_store(request):
+    """The desk64 net with moments and BN affines away from their init."""
+    store = build(ArchConfig(levels=2, base_channels=8), rng_seed=12)
+    rng = np.random.default_rng(12)
+    for bn, m in store.moments_items():
+        c = m.mean.shape[0]
+        m.mean[:] = rng.standard_normal(c) * 2
+        m.var[:] = rng.uniform(0.05, 4.0, c)
+        store.param(f"{bn}.gamma").data[:] = rng.uniform(0.5, 1.5, c)
+        store.param(f"{bn}.beta").data[:] = rng.standard_normal(c)
+    return store if request.param is np.float32 else store.to_double()
+
+
+class TestFoldedBatchNorm:
+    def test_every_site_matches_unfused_within_tolerance(self, trained_like_store):
+        store = trained_like_store
+        sites = conv_bn_sites(store)
+        assert len(sites) == 18
+        rng = np.random.default_rng(13)
+        for weight, bn in sites:
+            w = store.param(weight)
+            x = Tensor(rng.standard_normal((3, w.shape[1], 8, 8)).astype(w.dtype))
+            pad = w.shape[2] // 2
+            folded = attention.conv_bn(x, store, weight, bn, False, pad).data
+            plain = conv_bn_unfused(x, store, weight, bn, False, pad).data
+            assert folded.dtype == plain.dtype
+            assert np.abs(folded - plain).max() <= fold_tolerance(plain), bn
+
+    def test_network_logits_match_unfused_within_tolerance(self, trained_like_store,
+                                                            monkeypatch):
+        store = trained_like_store
+        dtype = store.param("head.conv.weight").dtype
+        x = Tensor(np.random.default_rng(14).standard_normal((4, 1, 32, 32)).astype(dtype))
+        folded = forward(store, x, training=False).data
+        monkeypatch.setattr(network, "conv_bn", conv_bn_unfused)
+        monkeypatch.setattr(attention, "conv_bn", conv_bn_unfused)
+        plain = forward(store, x, training=False).data
+        assert np.abs(folded - plain).max() <= fold_tolerance(plain)
+        assert np.array_equal(folded.argmax(axis=1), plain.argmax(axis=1))
+
+    def test_training_mode_is_the_unfused_pair_to_the_byte(self):
+        store = build(ArchConfig(levels=2, base_channels=8), rng_seed=15)
+        x = Tensor(np.random.default_rng(15).standard_normal((2, 1, 8, 8))
+                   .astype(np.float32))
+        twin = build(ArchConfig(levels=2, base_channels=8), rng_seed=15)
+        y = attention.conv_bn(x, store, "enc0.rica.f1.conv.weight", "enc0.rica.f1.bn", True, 1)
+        want = conv_bn_unfused(x, twin, "enc0.rica.f1.conv.weight", "enc0.rica.f1.bn", True, 1)
+        assert y.data.tobytes() == want.data.tobytes()
+        m, m_want = store.moments("enc0.rica.f1.bn"), twin.moments("enc0.rica.f1.bn")
+        assert m.mean.tobytes() == m_want.mean.tobytes()
+        assert m.var.tobytes() == m_want.var.tobytes()
+
+    def test_eval_mode_differentiates_through_the_fold(self, trained_like_store):
+        store = trained_like_store
+        weight, bn = "enc1.rica.f1.conv.weight", "enc1.rica.f1.bn"
+        w = store.param(weight)
+        x = Tensor(np.random.default_rng(16).standard_normal((2, w.shape[1], 6, 6))
+                   .astype(w.dtype), requires_grad=True)
+        store.zero_grads()
+        attention.conv_bn(x, store, weight, bn, False, 1).sum().backward()
+        got = [t.grad.copy() for t in (x, w, store.param(f"{bn}.gamma"),
+                                        store.param(f"{bn}.beta"))]
+        x.grad = None
+        store.zero_grads()
+        conv_bn_unfused(x, store, weight, bn, False, 1).sum().backward()
+        want = [x.grad, w.grad, store.param(f"{bn}.gamma").grad, store.param(f"{bn}.beta").grad]
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=0, atol=fold_tolerance(b))

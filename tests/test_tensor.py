@@ -95,6 +95,57 @@ def maxpool2_plain(x, g):
     return out, dx, idx
 
 
+def upsample_bilinear2_plain(x, g):
+    """Reference upsample, two tensordots per direction: (out, dx)."""
+    mh = T._lerp_matrix(x.shape[2], x.dtype)
+    mw = T._lerp_matrix(x.shape[3], x.dtype)
+    yh = np.tensordot(mh, x, axes=([1], [2])).transpose(1, 2, 0, 3)
+    out = np.tensordot(mw, yh, axes=([1], [3])).transpose(1, 2, 3, 0)
+    gh = np.tensordot(mw.T, g, axes=([1], [3])).transpose(1, 2, 3, 0)
+    dx = np.tensordot(mh.T, gh, axes=([1], [2])).transpose(1, 2, 0, 3)
+    return np.ascontiguousarray(out), np.ascontiguousarray(dx)
+
+
+def sigmoid_plain(x, g):
+    """Reference sigmoid by boolean indexing of each sign: (out, dx)."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out, g * out * (1.0 - out)
+
+
+def directional_avgpool_plain(x, g, axis):
+    """Reference directional pool by ``mean``: (out, dx)."""
+    ax = 3 if axis == "width" else 2
+    return x.mean(axis=ax, keepdims=True), np.broadcast_to(g / x.shape[ax], x.shape)
+
+
+def relu_plain(x, g):
+    """Reference relu: (out, dx, sign mask)."""
+    mask = x > 0
+    return np.maximum(x, 0), g * mask, mask
+
+
+# Shapes of the kernel-rewrite byte tests: the smallest, an odd shape, and
+# the activations of the desk64 (batch 16) and deep128 (batch 4) nets.
+# UPSAMPLE_SHAPES are the inputs of every decoder level of the two nets.
+ACT_SHAPES = [(1, 1, 1, 1), (2, 3, 5, 7), (16, 8, 64, 64), (16, 32, 16, 16),
+              (4, 16, 128, 128), (4, 256, 8, 8)]
+UPSAMPLE_SHAPES = [(1, 1, 1, 1), (2, 3, 5, 7), (16, 32, 16, 16), (16, 16, 32, 32),
+                   (4, 256, 8, 8), (4, 128, 16, 16), (4, 64, 32, 32), (4, 32, 64, 64)]
+DTYPES = [pytest.param(np.float32, id="f32"), pytest.param(np.float64, id="f64")]
+
+
+def _forward_backward(op, x, g):
+    """(out, dx) of a Tensor op on `x`, its closure fed `g`."""
+    xt = Tensor(x, requires_grad=True, check=False)
+    y = op(xt)
+    y._backward_fn(g)
+    return y.data, xt.grad
+
+
 def tied_windows(dtype):
     """Every 2x2 window over {-1, -0.0, 0.0, 0.5}: 2-, 3- and 4-way ties at
     every window position, -0.0 against 0.0 included. Channel 1 holds
@@ -397,6 +448,95 @@ class TestMaxPool:
             tracemalloc.stop()
         assert retained <= y.data.nbytes + 64 * 1024, \
             f"forward retains {retained / 2 ** 20:.2f} MiB for a {y.data.nbytes / 2 ** 20:.2f} MiB output"
+
+class TestKernelRewrites:
+    """Upsample, sigmoid, directional pool and relu give the bytes of the
+    plain forms above, forward and backward."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", UPSAMPLE_SHAPES, ids=str)
+    def test_upsample_matches_tensordot_form(self, shape, dtype):
+        rng = np.random.default_rng(29)
+        x = rng.standard_normal(shape).astype(dtype)
+        g = rng.standard_normal(shape[:2] + (2 * shape[2], 2 * shape[3])).astype(dtype)
+        out, dx = _forward_backward(T.upsample_bilinear2, x, g)
+        want_out, want_dx = upsample_bilinear2_plain(x, g)
+        assert out.dtype == dtype and out.tobytes() == want_out.tobytes()
+        assert dx.dtype == dtype and dx.tobytes() == want_dx.tobytes()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", ACT_SHAPES, ids=str)
+    def test_sigmoid_matches_indexed_form(self, shape, dtype):
+        rng = np.random.default_rng(30)
+        x = (rng.standard_normal(shape) * 4).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        out, dx = _forward_backward(T.sigmoid, x, g)
+        want_out, want_dx = sigmoid_plain(x, g)
+        assert out.dtype == dtype and out.tobytes() == want_out.tobytes()
+        assert dx.tobytes() == want_dx.tobytes()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_sigmoid_matches_indexed_form_at_special_values(self, dtype):
+        big = np.finfo(dtype).max
+        x = np.array([np.inf, -np.inf, 0.0, -0.0, big, -big, 1e-30, -1e-30,
+                      20.0, -20.0, 90.0, -90.0, 750.0, -750.0], dtype=dtype)
+        g = np.ones_like(x)
+        out, dx = _forward_backward(T.sigmoid, x, g)
+        want_out, want_dx = sigmoid_plain(x, g)
+        assert out.tobytes() == want_out.tobytes()
+        assert dx.tobytes() == want_dx.tobytes()
+        assert list(out[:4]) == [1.0, 0.0, 0.5, 0.5]
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", ACT_SHAPES, ids=str)
+    @pytest.mark.parametrize("axis", ["height", "width"])
+    def test_directional_avgpool_matches_mean_form(self, shape, dtype, axis):
+        rng = np.random.default_rng(31)
+        x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
+        pooled = list(shape)
+        pooled[3 if axis == "width" else 2] = 1
+        g = rng.standard_normal(pooled).astype(dtype)
+        out, dx = _forward_backward(lambda t: T.directional_avgpool(t, axis), x, g)
+        want_out, want_dx = directional_avgpool_plain(x, g, axis)
+        assert out.dtype == dtype and out.tobytes() == want_out.tobytes()
+        assert dx.tobytes() == np.ascontiguousarray(want_dx).tobytes()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", ACT_SHAPES, ids=str)
+    def test_relu_matches_plain_form(self, shape, dtype):
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal(shape).astype(dtype)
+        x.flat[::7] = -0.0
+        x.flat[1::7] = 0.0
+        g = rng.standard_normal(shape).astype(dtype)
+        want_out, want_dx, want_mask = relu_plain(x, g)
+        with T.record_switches() as switches:
+            out, dx = _forward_backward(T.relu, x, g)
+        assert out.tobytes() == want_out.tobytes() and dx.tobytes() == want_dx.tobytes()
+        assert len(switches) == 1 and np.array_equal(switches[0], want_mask)
+        with T.no_grad():
+            y = T.relu(Tensor(x, requires_grad=True))
+        assert y.data.tobytes() == want_out.tobytes()
+
+    def test_relu_records_its_mask_without_a_graph(self):
+        x = np.array([[-1.0, 0.0, 2.0, -0.0]], np.float32)
+        with T.no_grad(), T.record_switches() as switches:
+            y = T.relu(Tensor(x))
+        assert not y.requires_grad
+        assert len(switches) == 1 and switches[0].tolist() == [[False, False, True, False]]
+
+    def test_relu_without_a_consumer_builds_no_graph(self):
+        with T.no_grad():
+            y = T.relu(Tensor(np.ones((2, 2), np.float32), requires_grad=True))
+        assert not y.requires_grad and y._backward_fn is None and y._parents == ()
+        y = T.relu(Tensor(np.ones((2, 2), np.float32)))
+        assert not y.requires_grad and y._backward_fn is None
+
+    def test_relu_differentiates_a_requires_grad_input(self):
+        x = Tensor(np.array([-1.0, 0.5, 2.0], np.float32), requires_grad=True)
+        (T.relu(x) * Tensor(np.array([3.0, 4.0, 5.0], np.float32))).sum().backward()
+        assert x.grad.tolist() == [0.0, 4.0, 5.0]
+
 
 class TestResampling:
     def test_upsample_constant(self):
