@@ -118,6 +118,8 @@ def cmd_eval(cfg: Config, args) -> int:
 
 
 def cmd_infer(cfg: Config, args) -> int:
+    if cfg["infer.limit"] < 0:
+        raise ConfigError(f"infer.limit must be >= 0 (0 = all slices), got {cfg['infer.limit']}")
     out = _out_dir(args)
     store = _checkpoint(cfg, "infer.checkpoint")
     in_dir = cfg["infer.input_dir"]

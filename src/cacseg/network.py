@@ -154,7 +154,7 @@ def forward(store: ParameterStore, batch: Tensor, training: bool = False) -> Ten
         x = upsample_bilinear2(x)
         if arch.ca_enabled:
             x = ca_forward(x, store, f"dec{k}.ca", arch.ca, training)
-        x = concat_channels(x, skips[k])
+        x = concat_channels(x, skips.pop())
         x = relu(_conv_bn(x, store, f"dec{k}.c1", training))
         x = relu(_conv_bn(x, store, f"dec{k}.c2", training))
 

@@ -308,6 +308,12 @@ class TestCli:
         with pytest.raises(ConfigError, match="empty list item"):
             load_config(None, [f"data.rot_degrees={value}"])
 
+    def test_negative_infer_limit_exits_1(self, tmp_path, capsys):
+        rc = main(["infer", "--out", str(tmp_path / "out"), "--set", "infer.limit=-3"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error: infer.limit must be >= 0")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_dataset_exits_1(self, capsys):
         rc = main(["train", "--out", "/tmp/unused-cacseg"])
         assert rc == 1
