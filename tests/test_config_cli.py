@@ -354,6 +354,18 @@ class TestCli:
         assert ((first / "last.rckp").read_bytes()
                 == (second / "last.rckp").read_bytes())
 
+    @pytest.mark.parametrize("cmd", ["eval", "infer"])
+    def test_zero_batch_size_exits_1(self, cmd, micro_dataset, tmp_path, capsys):
+        store = build(load_config(None, TINY_NET[1::2]).arch(), rng_seed=5)
+        ckpt = tmp_path / "net.rckp"
+        save_checkpoint(ckpt, store.state_entries())
+        rc = main([cmd, "--out", str(tmp_path / "out"), "--set", f"{cmd}.checkpoint={ckpt}",
+                   "--set", f"data.test_dir={micro_dataset}",
+                   "--set", f"infer.input_dir={micro_dataset}",
+                   "--set", "train.batch_size=0", *TINY_NET])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error: epochs and batch_size")
+
     def test_infer_exports_do_not_depend_on_the_batch(self, micro_dataset, tmp_path):
         store = build(load_config(None, TINY_NET[1::2]).arch(), rng_seed=4)
         rng = np.random.default_rng(4)
