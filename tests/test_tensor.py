@@ -532,11 +532,6 @@ class TestKernelRewrites:
         y = T.relu(Tensor(np.ones((2, 2), np.float32)))
         assert not y.requires_grad and y._backward_fn is None
 
-    def test_relu_differentiates_a_requires_grad_input(self):
-        x = Tensor(np.array([-1.0, 0.5, 2.0], np.float32), requires_grad=True)
-        (T.relu(x) * Tensor(np.array([3.0, 4.0, 5.0], np.float32))).sum().backward()
-        assert x.grad.tolist() == [0.0, 4.0, 5.0]
-
 
 class TestResampling:
     def test_upsample_constant(self):
