@@ -13,8 +13,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import data as D
 from . import gradcheck as G
 from . import training as TR
@@ -22,13 +20,16 @@ from .config import RESOLVED_NAME, Config, load_config
 from .errors import ConfigError, KitError, LabelError
 from .evaluation import (
     agatston_per_lesion,
+    dice_global,
     dice_per_slice_mean,
     dice_report_tsv,
     export_prediction,
 )
 from .losses import resolve_variant
-from .network import forward, load_model
-from .tensor import Tensor, load_tns, no_grad
+# eval forwards run in training.predict; forward stays importable here
+# because perfbench's per-layer tracer wraps it at this module.
+from .network import forward, load_model  # noqa: F401
+from .tensor import load_tns
 
 
 def _out_dir(args) -> Path:
@@ -83,32 +84,16 @@ def _checkpoint(cfg: Config, key: str):
     return store
 
 
-def _predictions(store, ds: D.Dataset, count: int, batch_size: int):
-    """Eval-mode logits (C,H,W) and sample of each of the first `count`
-    samples, forwarded `batch_size` at a time. A slice's logits do not
-    depend on the batch it ran in."""
-    for start in range(0, count, batch_size):
-        samples = [ds.sample(i) for i in range(start, min(start + batch_size, count))]
-        with no_grad():
-            logits = forward(store, Tensor(np.stack([D.preprocess(s) for s in samples])),
-                             training=False)
-        yield from zip(logits.data, samples)
-
-
 def cmd_eval(cfg: Config, args) -> int:
     out = _out_dir(args)
     store = _checkpoint(cfg, "eval.checkpoint")
     test_ds = _dataset(cfg, "data.test_dir")
     batch = cfg.train().batch_size
     cfg.dump(out / RESOLVED_NAME)
-    if cfg["eval.per_slice"]:
-        dice = dice_per_slice_mean(
-            (logits.argmax(axis=0), s.mask) for logits, s
-            in _predictions(store, test_ds, len(test_ds), batch))
-        mode = "per-slice mean"
-    else:
-        dice = TR.evaluate_dice(store, test_ds, batch)
-        mode = "global counts"
+    aggregate, mode = ((dice_per_slice_mean, "per-slice mean") if cfg["eval.per_slice"]
+                       else (dice_global, "global counts"))
+    dice = aggregate((logits.argmax(axis=0), s.mask)
+                     for logits, s in TR.predict(store, test_ds, batch))
     body = dice_report_tsv(dice)
     path = out / "dice.tsv"
     path.write_text(body, encoding="utf-8")
@@ -122,14 +107,11 @@ def cmd_infer(cfg: Config, args) -> int:
         raise ConfigError(f"infer.limit must be >= 0 (0 = all slices), got {cfg['infer.limit']}")
     out = _out_dir(args)
     store = _checkpoint(cfg, "infer.checkpoint")
-    in_dir = cfg["infer.input_dir"]
-    if not in_dir:
-        raise ConfigError("infer.input_dir must point to a dataset directory")
-    ds = D.Dataset(in_dir)
+    ds = _dataset(cfg, "infer.input_dir")
     count = min(cfg["infer.limit"] or len(ds), len(ds))
     batch = cfg.train().batch_size
     cfg.dump(out / RESOLVED_NAME)
-    for logits, s in _predictions(store, ds, count, batch):
+    for logits, s in TR.predict(store, ds, batch, count):
         export_prediction(logits, out / s.slice_id, hu_image=s.image)
     print(f"wrote {count} predictions to {out}")
     return 0

@@ -50,7 +50,6 @@ class SliceSample:
     image: np.ndarray
     mask: np.ndarray
     slice_id: str = ""
-    source: str = ""
 
     def validate(self) -> None:
         if self.image.ndim != 3 or self.image.shape[0] != 1:
@@ -170,7 +169,7 @@ def augment(sample: SliceSample, rng: np.random.Generator,
 
     return SliceSample(image=img.astype(np.float32)[None],
                        mask=mask.astype(np.uint8),
-                       slice_id=sample.slice_id, source=sample.source)
+                       slice_id=sample.slice_id)
 
 
 # -- phantom generator ---------------------------------------------------------
@@ -308,7 +307,7 @@ def phantom_slice(spec: PhantomSpec, index: int) -> SliceSample:
 
     image = np.rint(hu).astype(np.float32)[None]
     return SliceSample(image=image, mask=mask,
-                       slice_id=f"slice_{index:05d}", source="phantom")
+                       slice_id=f"slice_{index:05d}")
 
 
 def generate_phantom(spec: PhantomSpec, out_dir) -> Path:
@@ -377,8 +376,7 @@ class Dataset:
         img_rel, mask_rel, _ = self.rows[i]
         image = load_tns(self.root / img_rel)
         mask = load_tns(self.root / mask_rel)
-        s = SliceSample(image=image, mask=mask,
-                        slice_id=Path(img_rel).stem, source=str(self.root))
+        s = SliceSample(image=image, mask=mask, slice_id=Path(img_rel).stem)
         s.validate()
         return s
 

@@ -85,19 +85,14 @@ def dice_per_class(pred_mask, true_mask) -> DiceReport:
                    np.bincount(true[pred == true], minlength=NUM_CLASSES))
 
 
-class DiceAccumulator:
-    """Streaming global-count Dice over many (prediction, target) pairs."""
-
-    def __init__(self):
-        # rows: predicted pixels, true pixels, intersection
-        self.counts = np.zeros((3, NUM_CLASSES), dtype=np.int64)
-
-    def update(self, pred_mask, true_mask) -> None:
-        r = dice_per_class(pred_mask, true_mask)
-        self.counts += (r.pred_pixels, r.true_pixels, r.intersection)
-
-    def report(self) -> DiceReport:
-        return _report(*self.counts)
+def dice_global(pairs) -> np.ndarray:
+    """Per-class Dice with counts pooled over all (prediction, target) pairs."""
+    # rows: predicted pixels, true pixels, intersection
+    counts = np.zeros((3, NUM_CLASSES), dtype=np.int64)
+    for pred, true in pairs:
+        r = dice_per_class(pred, true)
+        counts += (r.pred_pixels, r.true_pixels, r.intersection)
+    return _report(*counts).dice
 
 
 def dice_per_slice_mean(pairs) -> np.ndarray:

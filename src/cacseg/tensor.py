@@ -154,9 +154,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def item(self) -> float:
         return float(self.data)
 

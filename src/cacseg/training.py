@@ -7,6 +7,7 @@ a run resumed from its last checkpoint continues bit-exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -14,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import data as D
-from .errors import ConfigError, ContractError, NumericError
-from .evaluation import DiceAccumulator
+from .errors import ConfigError, ContractError, DimensionError, NumericError
+from .evaluation import dice_global
 from .losses import LossConfig, loss_by_variant
 from .network import ArchConfig, build, forward, load_model
 from .params import ParameterStore, save_checkpoint, write_atomic
@@ -143,24 +144,40 @@ def _batches(n: int, batch_size: int, perm: np.ndarray):
 
 
 def _assemble(samples) -> tuple[Tensor, np.ndarray]:
+    first = samples[0]
+    odd = next((s for s in samples if s.image.shape != first.image.shape), None)
+    if odd is not None:
+        raise DimensionError(
+            f"a training batch needs one slice size: {odd.slice_id} is "
+            f"{odd.image.shape[1:]}, {first.slice_id} is {first.image.shape[1:]}"
+        )
     images = np.stack([D.preprocess(s) for s in samples])
     targets = np.stack([s.mask.astype(np.int64) for s in samples])
     return Tensor(images), targets
 
 
+def predict(store: ParameterStore, dataset: D.Dataset, batch_size: int,
+            count: int | None = None):
+    """Eval-mode logits (C,H,W) and sample of each of the first `count`
+    slices (all when None), forwarded up to `batch_size` at a time.
+
+    A batch ends early where the slice size changes. A slice's logits do
+    not depend on the batch it ran in.
+    """
+    samples = map(dataset.sample, range(len(dataset) if count is None else count))
+    for _, run in itertools.groupby(samples, key=lambda s: s.image.shape):
+        while batch := list(itertools.islice(run, batch_size)):
+            with no_grad():
+                logits = forward(store, Tensor(np.stack([D.preprocess(s) for s in batch])),
+                                 training=False)
+            yield from zip(logits.data, batch)
+
+
 def evaluate_dice(store: ParameterStore, dataset: D.Dataset,
                   batch_size: int = 16) -> np.ndarray:
     """Eval-mode per-class Dice over a dataset, global counts."""
-    acc = DiceAccumulator()
-    n = len(dataset)
-    for start in range(0, n, batch_size):
-        samples = [dataset.sample(i) for i in range(start, min(start + batch_size, n))]
-        x, targets = _assemble(samples)
-        with no_grad():
-            logits = forward(store, x, training=False)
-        pred = logits.data.argmax(axis=1)
-        acc.update(pred, targets)
-    return acc.report().dice
+    return dice_global((logits.argmax(axis=0), s.mask)
+                       for logits, s in predict(store, dataset, batch_size))
 
 
 @dataclass

@@ -11,7 +11,7 @@ from cacseg.attention import CAConfig
 from cacseg.cli import main
 from cacseg.config import _REGISTRY, Config, _format_value, load_config
 from cacseg.errors import ConfigError
-from cacseg.evaluation import dice_per_slice_mean
+from cacseg.evaluation import dice_per_class, dice_per_slice_mean
 from cacseg.losses import LossConfig
 from cacseg.network import ArchConfig, build, forward
 from cacseg.params import save_checkpoint
@@ -238,15 +238,16 @@ class TestCli:
                    "--set", f"eval.per_slice={str(per_slice).lower()}", *TINY_NET])
         assert rc == 0
         ds = D.Dataset(micro_dataset)
+        pairs = []
+        for i in range(len(ds)):
+            s = ds.sample(i)
+            logits = forward(store, Tensor(D.preprocess(s)[None]), training=False)
+            pairs.append((logits.data[0].argmax(axis=0), s.mask))
         if per_slice:
-            pairs = []
-            for i in range(len(ds)):
-                s = ds.sample(i)
-                logits = forward(store, Tensor(D.preprocess(s)[None]), training=False)
-                pairs.append((logits.data[0].argmax(axis=0), s.mask))
             expected = dice_per_slice_mean(pairs)
         else:
-            expected = TR.evaluate_dice(store, ds)
+            preds, masks = zip(*pairs)
+            expected = dice_per_class(np.stack(preds), np.stack(masks)).dice
         values = (tmp_path / "eval" / "dice.tsv").read_text().splitlines()[1]
         assert values.split("\t") == [f"{v:.6f}" for v in expected]
 
@@ -385,3 +386,35 @@ class TestCli:
                               if p.suffix in (".tns", ".ppm")}
         assert len(exports[1]) == 10
         assert exports[1] == exports[3] == exports[16]
+
+    def test_mixed_slice_sizes_match_batch_1(self, mixed_dataset, tmp_path):
+        store = build(load_config(None, TINY_NET[1::2]).arch(), rng_seed=6)
+        ckpt = tmp_path / "net.rckp"
+        save_checkpoint(ckpt, store.state_entries())
+        outputs = {}
+        for batch in (1, 16):
+            inf = tmp_path / f"infer-{batch}"
+            assert main(["infer", "--out", str(inf), "--set", f"infer.checkpoint={ckpt}",
+                         "--set", f"infer.input_dir={mixed_dataset}",
+                         "--set", f"train.batch_size={batch}", *TINY_NET]) == 0
+            outputs[batch] = {p.name: p.read_bytes() for p in sorted(inf.iterdir())
+                              if p.suffix in (".tns", ".ppm")}
+            for ps in ("true", "false"):
+                ev = tmp_path / f"eval-{batch}-{ps}"
+                assert main(["eval", "--out", str(ev), "--set", f"eval.checkpoint={ckpt}",
+                             "--set", f"data.test_dir={mixed_dataset}",
+                             "--set", f"eval.per_slice={ps}",
+                             "--set", f"train.batch_size={batch}", *TINY_NET]) == 0
+                outputs[batch][f"dice-{ps}"] = (ev / "dice.tsv").read_bytes()
+        assert len(outputs[1]) == 12
+        assert outputs[1] == outputs[16]
+
+    def test_train_batch_of_mixed_sizes_exits_2(self, mixed_dataset, tmp_path, capsys):
+        argv = ["--set", f"data.train_dir={mixed_dataset}", "--set", "data.augment=false",
+                "--set", "train.epochs=1", *TINY_NET]
+        assert main(["train", "--out", str(tmp_path / "b5"), "--set", "train.batch_size=5",
+                     *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dimension error: a training batch needs one slice size")
+        assert main(["train", "--out", str(tmp_path / "b1"), "--set", "train.batch_size=1",
+                     *argv]) == 0

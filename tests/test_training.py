@@ -9,7 +9,9 @@ from cacseg import data as D
 from cacseg import params
 from cacseg import training as TR
 from cacseg.attention import CAConfig
-from cacseg.errors import ConfigError, ContractError, DataIOError, NumericError
+from cacseg.errors import (ConfigError, ContractError, DataIOError, DimensionError,
+                           NumericError)
+from cacseg.evaluation import dice_per_class
 from cacseg.losses import LossConfig
 from cacseg.network import ArchConfig, build, forward, load_model
 from cacseg.params import ParameterStore
@@ -200,6 +202,46 @@ class TestTrainLoop:
         for row in result.rows:
             for dice in row[3:]:
                 assert 0.0 <= dice <= 1.0
+
+
+class TestPredict:
+    def test_evaluate_dice_matches_one_slice_forwards_at_any_batch(self, tiny_dataset):
+        ds = D.Dataset(tiny_dataset.root)
+        ds.rows = ds.rows[:5]
+        store = build(TINY_ARCH, rng_seed=4)
+        rng = np.random.default_rng(4)
+        for _, m in store.moments_items():    # a fold that is not the identity
+            m.mean[:] = rng.standard_normal(m.mean.shape)
+            m.var[:] = rng.uniform(0.2, 3.0, m.var.shape)
+        samples = [ds.sample(i) for i in range(len(ds))]
+        preds = [forward(store, Tensor(D.preprocess(s)[None]), training=False)
+                 .data[0].argmax(axis=0) for s in samples]
+        want = dice_per_class(np.stack(preds), np.stack([s.mask for s in samples])).dice
+        for batch in (1, 3, 16):
+            np.testing.assert_array_equal(TR.evaluate_dice(store, ds, batch), want)
+
+    def test_batch_ends_where_the_slice_size_changes(self, mixed_dataset, monkeypatch):
+        ds = D.Dataset(mixed_dataset)
+        store = build(TINY_ARCH, rng_seed=1)
+        shapes = []
+
+        def recording_forward(store, x, training):
+            shapes.append(x.shape)
+            return forward(store, x, training=training)
+        monkeypatch.setattr(TR, "forward", recording_forward)
+        ids = [s.slice_id for _, s in TR.predict(store, ds, 16)]
+        assert ids == [f"slice_{i:05d}" for i in range(5)]
+        assert shapes == [(2, 1, 32, 32), (2, 1, 16, 16), (1, 1, 32, 32)]
+        shapes.clear()
+        logits = [lg.shape for lg, _ in TR.predict(store, ds, 1, count=3)]
+        assert shapes == [(1, 1, 32, 32)] * 2 + [(1, 1, 16, 16)]
+        assert logits == [(D.NUM_CLASSES, 32, 32)] * 2 + [(D.NUM_CLASSES, 16, 16)]
+
+    def test_training_batch_of_mixed_sizes_names_the_odd_slice(self, mixed_dataset):
+        ds = D.Dataset(mixed_dataset)
+        with pytest.raises(DimensionError, match="slice_00002 is \\(16, 16\\), "
+                                                 "slice_00000 is \\(32, 32\\)"):
+            TR._assemble([ds.sample(i) for i in range(3)])
 
 
 class TestPersistence:

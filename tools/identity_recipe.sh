@@ -61,6 +61,10 @@ for run in overfit desk; do
     C infer --config "$cfg" --set infer.checkpoint="$O/$run/last.rckp" \
         --set infer.input_dir="$phantom" --set infer.limit=5 --out "$O/infer-$run"
 done
+# a short last batch: 5 slices forwarded as 3 + 2
+C infer --config configs/desk64-train.cfg --set infer.checkpoint="$O/desk/last.rckp" \
+    --set infer.input_dir="$O/ph-desk" --set infer.limit=5 --set train.batch_size=3 \
+    --out "$O/infer-desk-b3"
 C gradcheck --out "$O/gc"
 
 cd "$O"
