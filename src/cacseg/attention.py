@@ -52,14 +52,6 @@ class CAConfig:
         return max(channels // self.reduction_ratio, self.min_mid_channels, 1)
 
 
-@dataclass
-class AttentionMaps:
-    """Height gate (N,C,H,1) and width gate (N,C,1,W), both in (0,1)."""
-
-    a_h: Tensor
-    a_w: Tensor
-
-
 def _hardswish(x: Tensor) -> Tensor:
     return x * (x + 3.0).clip(0.0, 6.0) * (1.0 / 6.0)
 
@@ -99,7 +91,7 @@ def init_ca(store: ParameterStore, prefix: str, channels: int, cfg: CAConfig,
 
 
 def ca_forward(x: Tensor, store: ParameterStore, prefix: str, cfg: CAConfig,
-               training: bool, attention_hook=None, return_maps: bool = False):
+               training: bool, attention_hook=None) -> Tensor:
     """Gate `x` by its height and width attention maps.
 
     Pipeline: pool each spatial axis away, concatenate the two pooled
@@ -107,8 +99,9 @@ def ca_forward(x: Tensor, store: ParameterStore, prefix: str, cfg: CAConfig,
     split, per-branch 1x1 conv, sigmoid, then multiply both gates onto
     the input. Output shape equals input shape.
 
-    `attention_hook`, when given, receives (a_h, a_w) after the sigmoid
-    and returns replacements; it exists so tests can bypass the gates.
+    `attention_hook`, when given, receives the height gate (N,C,H,1) and
+    the width gate (N,C,1,W) after the sigmoid and returns replacements;
+    it exists so tests can read or bypass the gates.
     """
     w1 = store.param(f"{prefix}.conv1.weight")
     if x.ndim != 4:
@@ -128,7 +121,4 @@ def ca_forward(x: Tensor, store: ParameterStore, prefix: str, cfg: CAConfig,
     a_w = sigmoid(conv2d(part_w, store.param(f"{prefix}.convw.weight")))
     if attention_hook is not None:
         a_h, a_w = attention_hook(a_h, a_w)
-    out = x * a_w * a_h
-    if return_maps:
-        return out, AttentionMaps(a_h=a_h, a_w=a_w)
-    return out
+    return x * a_w * a_h

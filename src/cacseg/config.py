@@ -87,13 +87,20 @@ _REGISTRY: dict[str, _Key] = {
 }
 
 
+def _finite(key: str, raw: str) -> float:
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ConfigError(f"{key} = {raw!r} is not a finite number")
+    return value
+
+
 def _parse_value(key: str, spec: _Key, raw: str):
     raw = raw.strip()
     try:
         if spec.kind == "int":
             return int(raw)
         if spec.kind == "float":
-            return float(raw)
+            return _finite(key, raw)
         if spec.kind == "bool":
             low = raw.lower()
             if low in ("true", "1", "yes"):
@@ -105,8 +112,9 @@ def _parse_value(key: str, spec: _Key, raw: str):
             items = raw.split(",") if raw else []
             if any(not x.strip() for x in items):
                 raise ConfigError(f"{key} = {raw!r} has an empty list item")
-            parse = float if spec.kind == "floats" else int
-            return tuple(parse(x) for x in items)
+            if spec.kind == "floats":
+                return tuple(_finite(key, x) for x in items)
+            return tuple(int(x) for x in items)
         return raw
     except ValueError:
         raise ConfigError(f"cannot parse {key} = {raw!r} as {spec.kind}") from None
@@ -200,7 +208,8 @@ class Config:
                 weights = class_weights_from_counts(pixel_counts)
         else:
             try:
-                weights = np.array([float(x) for x in raw.split(",")])
+                weights = np.array([_finite("loss.class_weights", x)
+                                    for x in raw.split(",")])
             except ValueError:
                 raise ConfigError(
                     f"loss.class_weights must be 'auto' or comma-separated reals, got {raw!r}"

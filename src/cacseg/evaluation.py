@@ -15,7 +15,7 @@ from scipy import ndimage
 
 from .data import CLASS_NAMES, NUM_CLASSES, hu_normalize
 from .errors import ConfigError, DataIOError, DimensionError, LabelError
-from .tensor import Tensor, save_tns
+from .tensor import save_tns
 
 # class -> RGB for overlays: background, bone, LM red, LAD amber,
 # LCX green, RCA blue
@@ -166,18 +166,13 @@ def agatston_per_lesion(mask, hu_image, pixel_area_mm2: float) -> LesionScoreRep
 # -- prediction export -----------------------------------------------------
 
 
-def logits_to_mask(logits) -> np.ndarray:
-    """Argmax over the class axis; accepts (6,H,W) or (1,6,H,W)."""
-    arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    if arr.ndim == 4:
-        if arr.shape[0] != 1:
-            raise DimensionError("export expects a single slice of logits")
-        arr = arr[0]
-    if arr.ndim != 3 or arr.shape[0] != NUM_CLASSES:
+def logits_to_mask(logits: np.ndarray) -> np.ndarray:
+    """Argmax over the class axis of one slice's (6,H,W) logits."""
+    if logits.ndim != 3 or logits.shape[0] != NUM_CLASSES:
         raise DimensionError(
-            f"logits must be ({NUM_CLASSES},H,W), got shape {arr.shape}"
+            f"logits must be ({NUM_CLASSES},H,W), got shape {logits.shape}"
         )
-    return arr.argmax(axis=0).astype(np.uint8)
+    return logits.argmax(axis=0).astype(np.uint8)
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:

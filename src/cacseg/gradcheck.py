@@ -107,7 +107,16 @@ def check_gradients(name: str, f: Callable[[], Tensor], leaves: Dict[str, Tensor
     return CheckResult(name, max_rel, tol, checked, excluded_total)
 
 
-# -- elementary and spatial op checks -----------------------------------------
+# -- the check table -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of the table: `setup(seed)` draws the operands and returns
+    (f, leaves), the scalar to differentiate and its float64 leaves."""
+
+    setup: Callable[[int], tuple]
+    tol: float = OP_TOL
 
 
 def _normal(*shape, scale=1.0):
@@ -125,9 +134,9 @@ def _running_moments(rng) -> T.RunningMoments:
     return state
 
 
-@dataclass(frozen=True)
-class OpCase:
-    """One op check on draws from `default_rng(seed + offset)`.
+def _op(offset: int, leaves: tuple, op: Callable[..., Tensor], fixed: tuple = (),
+        readout_offset: Optional[int] = None) -> Check:
+    """An op check on draws from `default_rng(seed + offset)`.
 
     The `leaves` (name, draw) pairs are drawn first, in order, and are
     differentiated; `fixed` pairs are drawn next and are not. The readout
@@ -135,160 +144,134 @@ class OpCase:
     or, when `readout_offset` is set, from `default_rng(seed +
     readout_offset)`.
     """
+    def setup(seed):
+        rng = np.random.default_rng(seed + offset)
+        xs = {k: Tensor(draw(rng), requires_grad=True) for k, draw in leaves}
+        consts = {k: draw(rng) for k, draw in fixed}
+        out_shape = op(**xs, **consts).shape
+        if readout_offset is not None:
+            rng = np.random.default_rng(seed + readout_offset)
+        r = Tensor(rng.standard_normal(out_shape))
+        return lambda: (op(**xs, **consts) * r).sum(), xs
+    return Check(setup)
 
-    offset: int
-    leaves: tuple
-    op: Callable[..., Tensor]
-    fixed: tuple = ()
-    readout_offset: Optional[int] = None
+
+def _module(fwd: Callable[[Tensor], Tensor], store: ParameterStore,
+            x: np.ndarray, r: np.ndarray) -> tuple:
+    """sum(fwd(x) * r), differentiated for the input and every parameter."""
+    x, r = Tensor(x, requires_grad=True), Tensor(r)
+    return lambda: (fwd(x) * r).sum(), {"input": x, **dict(store.items())}
+
+
+_CA = CAConfig(reduction_ratio=4, min_mid_channels=2)
+
+
+def _ca(rng: np.random.Generator) -> tuple:
+    store = ParameterStore()
+    init_ca(store, "ca", 3, _CA, rng)
+    store = store.to_double()
+    return _module(lambda x: ca_forward(x, store, "ca", _CA, training=True), store,
+                   rng.standard_normal((1, 3, 8, 8)), rng.standard_normal((1, 3, 8, 8)))
+
+
+def _rica(seed: int) -> tuple:
+    rng = np.random.default_rng(seed)
+    _ca(rng)   # this row draws after the ca_forward row's draws
+    store = ParameterStore()
+    init_rica(store, "blk", 3, 8, _CA, rng)
+    store = store.to_double()
+    return _module(lambda x: rica_forward(x, store, "blk", _CA, training=True), store,
+                   rng.standard_normal((1, 3, 8, 8)), rng.standard_normal((1, 8, 8, 8)))
+
+
+def _network(seed: int) -> tuple:
+    """A 2-level, base-2-channel network on 16x16, end to end."""
+    arch = ArchConfig(levels=2, base_channels=2, ca=_CA)
+    store = network.build(arch, rng_seed=seed).to_double()
+    rng = np.random.default_rng(seed + 100)
+    return _module(lambda x: network.forward(store, x, training=True), store,
+                   rng.standard_normal((1, 1, 16, 16)),
+                   rng.standard_normal((1, NUM_CLASSES, 16, 16)))
+
+
+def _loss(fn: Callable[[Tensor, np.ndarray, L.LossConfig], Tensor]) -> Check:
+    """A loss through the softmax on random 1x6x4x4 logits and labels."""
+    def setup(seed):
+        target = np.random.default_rng(seed).integers(0, 6, size=(1, 4, 4))
+        logits = Tensor(np.random.default_rng(seed + 1).standard_normal((1, 6, 4, 4)),
+                        requires_grad=True)
+        cfg = L.LossConfig()
+        return lambda: fn(logits, target, cfg), {"logits": logits}
+    return Check(setup)
+
+
+def _ce(logits: Tensor, target: np.ndarray, cfg: L.LossConfig) -> Tensor:
+    return L.loss_by_variant(L.LossConfig(variant="CE"))(logits, target)
 
 
 _BINARY = (("a", _normal(2, 3, 4, 4)), ("b", _normal(1, 3, 1, 4)))  # broadcasts b
 _CONV = (("input", _normal(2, 3, 8, 8)), ("weight", _normal(4, 3, 3, 3, scale=0.5)),
          ("bias", _normal(4)))
-_CONV_STRIDE = (("input", _normal(1, 2, 9, 9)),
-                ("weight", _normal(3, 2, 3, 3, scale=0.5)), ("bias", _normal(3)))
 _BN = (("input", _normal(2, 3, 4, 4)), ("gamma", _uniform(0.5, 1.5, 3)),
        ("beta", _normal(3)))
 _POOL_IN = (("x", _normal(1, 2, 4, 4)),)
 
-OP_CASES: dict[str, OpCase] = {
-    "add": OpCase(1, _BINARY, lambda a, b: a + b),
-    "sub": OpCase(1, _BINARY, lambda a, b: a - b),
-    "mul": OpCase(1, _BINARY, lambda a, b: a * b),
-    "div": OpCase(2, (("a", _normal(2, 3, 4, 4)), ("b", _uniform(0.5, 2.0, 1, 3, 1, 4))),
-                  lambda a, b: a / b),
-    "pow": OpCase(3, (("x", _uniform(0.3, 2.0, 3, 5)),), lambda x: x.pow(1.7)),
-    "exp": OpCase(4, (("x", _normal(3, 5)),), lambda x: x.exp()),
-    "log": OpCase(5, (("x", _uniform(0.2, 3.0, 3, 5)),), lambda x: x.log()),
-    "sqrt": OpCase(6, (("x", _uniform(0.2, 3.0, 3, 5)),), lambda x: x.sqrt()),
-    "clip": OpCase(7, (("x", _uniform(-2.0, 2.0, 4, 6)),), lambda x: x.clip(-0.9, 1.1)),
-    "sum": OpCase(8, (("x", _normal(2, 3, 4)),), lambda x: x.sum(axis=1)),
-    "mean": OpCase(9, (("x", _normal(2, 3, 4)),),
-                   lambda x: x.mean(axis=1, keepdims=True)),
-    "reshape": OpCase(10, (("x", _normal(2, 3, 4)),), lambda x: x.reshape(6, 4)),
-    "transpose": OpCase(11, (("x", _normal(2, 3, 4, 5)),),
-                        lambda x: x.transpose((0, 1, 3, 2))),
-    "narrow": OpCase(12, (("x", _normal(2, 3, 6, 2)),), lambda x: x.narrow(2, 1, 3)),
-    "concat_channels": OpCase(13, (("a", _normal(2, 3, 4, 4)), ("b", _normal(2, 2, 4, 4))),
-                              T.concat_channels),
-    "relu": OpCase(14, (("x", _normal(4, 8)),), T.relu),
-    "sigmoid": OpCase(15, (("x", _normal(4, 8, scale=2.0)),), T.sigmoid),
-    "softmax_channel": OpCase(16, (("x", _normal(2, 6, 3, 3)),), T.softmax_channel),
-    "conv2d": OpCase(17, _CONV, lambda input, weight, bias:
-                     T.conv2d(input, weight, bias, padding=1)),
-    "conv2d_stride2": OpCase(18, _CONV_STRIDE, lambda input, weight, bias:
-                             T.conv2d(input, weight, bias, stride=2)),
-    "batchnorm2d_train": OpCase(19, _BN, lambda input, gamma, beta: T.batchnorm2d(
+CHECKS: dict[str, Check] = {
+    "add": _op(1, _BINARY, lambda a, b: a + b),
+    "sub": _op(1, _BINARY, lambda a, b: a - b),
+    "mul": _op(1, _BINARY, lambda a, b: a * b),
+    "div": _op(2, (("a", _normal(2, 3, 4, 4)), ("b", _uniform(0.5, 2.0, 1, 3, 1, 4))),
+               lambda a, b: a / b),
+    "pow": _op(3, (("x", _uniform(0.3, 2.0, 3, 5)),), lambda x: x.pow(1.7)),
+    "exp": _op(4, (("x", _normal(3, 5)),), lambda x: x.exp()),
+    "log": _op(5, (("x", _uniform(0.2, 3.0, 3, 5)),), lambda x: x.log()),
+    "sqrt": _op(6, (("x", _uniform(0.2, 3.0, 3, 5)),), lambda x: x.sqrt()),
+    "clip": _op(7, (("x", _uniform(-2.0, 2.0, 4, 6)),), lambda x: x.clip(-0.9, 1.1)),
+    "sum": _op(8, (("x", _normal(2, 3, 4)),), lambda x: x.sum(axis=1)),
+    "mean": _op(9, (("x", _normal(2, 3, 4)),), lambda x: x.mean(axis=1, keepdims=True)),
+    "reshape": _op(10, (("x", _normal(2, 3, 4)),), lambda x: x.reshape(6, 4)),
+    "transpose": _op(11, (("x", _normal(2, 3, 4, 5)),), lambda x: x.transpose((0, 1, 3, 2))),
+    "narrow": _op(12, (("x", _normal(2, 3, 6, 2)),), lambda x: x.narrow(2, 1, 3)),
+    "concat_channels": _op(13, (("a", _normal(2, 3, 4, 4)), ("b", _normal(2, 2, 4, 4))),
+                           T.concat_channels),
+    "relu": _op(14, (("x", _normal(4, 8)),), T.relu),
+    "sigmoid": _op(15, (("x", _normal(4, 8, scale=2.0)),), T.sigmoid),
+    "softmax_channel": _op(16, (("x", _normal(2, 6, 3, 3)),), T.softmax_channel),
+    "conv2d": _op(17, _CONV, lambda input, weight, bias:
+                  T.conv2d(input, weight, bias, padding=1)),
+    "batchnorm2d_train": _op(19, _BN, lambda input, gamma, beta: T.batchnorm2d(
         input, gamma, beta, T.RunningMoments(3, dtype=np.float64), True)),
-    "batchnorm2d_eval": OpCase(20, _BN, lambda input, gamma, beta, state:
-                               T.batchnorm2d(input, gamma, beta, state, False),
-                               fixed=(("state", _running_moments),)),
-    "maxpool2": OpCase(21, (("x", _normal(1, 2, 8, 8)),), T.maxpool2),
-    "upsample_bilinear2": OpCase(22, _POOL_IN, T.upsample_bilinear2),
-    "directional_avgpool_h": OpCase(23, _POOL_IN,
-                                    lambda x: T.directional_avgpool(x, "height"),
-                                    readout_offset=24),
-    "directional_avgpool_w": OpCase(23, _POOL_IN,
-                                    lambda x: T.directional_avgpool(x, "width"),
-                                    readout_offset=24),
+    "batchnorm2d_eval": _op(20, _BN, lambda input, gamma, beta, state:
+                            T.batchnorm2d(input, gamma, beta, state, False),
+                            fixed=(("state", _running_moments),)),
+    "maxpool2": _op(21, (("x", _normal(1, 2, 8, 8)),), T.maxpool2),
+    "upsample_bilinear2": _op(22, _POOL_IN, T.upsample_bilinear2),
+    "directional_avgpool_h": _op(23, _POOL_IN, lambda x: T.directional_avgpool(x, "height"),
+                                 readout_offset=24),
+    "directional_avgpool_w": _op(23, _POOL_IN, lambda x: T.directional_avgpool(x, "width"),
+                                 readout_offset=24),
+    "ca_forward": Check(lambda seed: _ca(np.random.default_rng(seed)), NET_TOL),
+    "rica_forward": Check(_rica, NET_TOL),
+    "loss_weighted_focal": _loss(L.weighted_focal),
+    "loss_exp_log_dice": _loss(L.exp_log_dice),
+    "loss_focal_logdice": _loss(L.focal_logdice),
+    "loss_focal_dice": _loss(L.focal_dice),
+    "loss_ce": _loss(_ce),
+    "network_end_to_end": Check(_network, NET_TOL),
 }
 
 
-def check_op(name: str, seed: int = 0) -> CheckResult:
-    """Finite-difference check of one OP_CASES entry."""
-    case = OP_CASES[name]
-    rng = np.random.default_rng(seed + case.offset)
-    leaves = {k: Tensor(draw(rng), requires_grad=True) for k, draw in case.leaves}
-    fixed = {k: draw(rng) for k, draw in case.fixed}
-    out_shape = case.op(**leaves, **fixed).shape
-    if case.readout_offset is not None:
-        rng = np.random.default_rng(seed + case.readout_offset)
-    r = Tensor(rng.standard_normal(out_shape))
-    return check_gradients(name, lambda: (case.op(**leaves, **fixed) * r).sum(), leaves)
-
-
-def check_ops(seed: int = 0) -> list[CheckResult]:
-    """Finite-difference checks for every differentiable engine op."""
-    return [check_op(name, seed) for name in OP_CASES]
-
-
-# -- module-level checks -------------------------------------------------
-
-
-def check_attention(seed: int = 0) -> list[CheckResult]:
-    """CA module and RICA block, gradients for input and every parameter."""
-    results = []
-    cfg = CAConfig(reduction_ratio=4, min_mid_channels=2)
-    rng = np.random.default_rng(seed)
-
-    store = ParameterStore()
-    init_ca(store, "ca", 3, cfg, rng)
-    store64 = store.to_double()
-    x = Tensor(rng.standard_normal((1, 3, 8, 8)), requires_grad=True)
-    r = Tensor(rng.standard_normal((1, 3, 8, 8)))
-    leaves = {"input": x, **dict(store64.items())}
-    results.append(check_gradients(
-        "ca_forward",
-        lambda: (ca_forward(x, store64, "ca", cfg, training=True) * r).sum(),
-        leaves, tol=NET_TOL))
-
-    store = ParameterStore()
-    init_rica(store, "blk", 3, 8, cfg, rng)
-    store64 = store.to_double()
-    x = Tensor(rng.standard_normal((1, 3, 8, 8)), requires_grad=True)
-    r = Tensor(rng.standard_normal((1, 8, 8, 8)))
-    leaves = {"input": x, **dict(store64.items())}
-    results.append(check_gradients(
-        "rica_forward",
-        lambda: (rica_forward(x, store64, "blk", cfg, training=True) * r).sum(),
-        leaves, tol=NET_TOL))
-    return results
-
-
-def check_network(seed: int = 0) -> CheckResult:
-    """End-to-end check through a 2-level, base-2-channel network on 16x16."""
-    arch = ArchConfig(levels=2, base_channels=2, ca=CAConfig(reduction_ratio=4,
-                                                             min_mid_channels=2))
-    store = network.build(arch, rng_seed=seed).to_double()
-    rng = np.random.default_rng(seed + 100)
-    x = Tensor(rng.standard_normal((1, 1, 16, 16)), requires_grad=True)
-    r = Tensor(rng.standard_normal((1, NUM_CLASSES, 16, 16)))
-    leaves = {"input": x, **dict(store.items())}
-    return check_gradients(
-        "network_end_to_end",
-        lambda: (network.forward(store, x, training=True) * r).sum(),
-        leaves, tol=NET_TOL)
-
-
-def check_losses(seed: int = 0) -> list[CheckResult]:
-    """All loss variants through the softmax on random 1x6x4x4 logits."""
-    results = []
-    rng = np.random.default_rng(seed)
-    target = rng.integers(0, 6, size=(1, 4, 4))
-    cfg = L.LossConfig()
-    cases = {
-        "loss_weighted_focal": lambda lg: L.weighted_focal(lg, target, cfg),
-        "loss_exp_log_dice": lambda lg: L.exp_log_dice(lg, target, cfg),
-        "loss_focal_logdice": lambda lg: L.focal_logdice(lg, target, cfg),
-        "loss_focal_dice": lambda lg: L.focal_dice(lg, target, cfg),
-        "loss_ce": lambda lg: L.loss_by_variant(L.LossConfig(variant="CE"))(lg, target),
-    }
-    for name, fn in cases.items():
-        logits = Tensor(np.random.default_rng(seed + 1).standard_normal((1, 6, 4, 4)),
-                        requires_grad=True)
-        results.append(check_gradients(name, lambda: fn(logits),
-                                       {"logits": logits}, tol=OP_TOL))
-    return results
+def check(name: str, seed: int = 0) -> CheckResult:
+    """Finite-difference check of one CHECKS row."""
+    spec = CHECKS[name]
+    f, leaves = spec.setup(seed)
+    return check_gradients(name, f, leaves, tol=spec.tol)
 
 
 def run_all(seed: int = 0) -> tuple[list[CheckResult], float]:
-    """Every check in one table; returns (results, elapsed seconds)."""
+    """Every CHECKS row in order; returns (results, elapsed seconds)."""
     t0 = time.perf_counter()
-    results = check_ops(seed)
-    results.extend(check_attention(seed))
-    results.extend(check_losses(seed))
-    results.append(check_network(seed))
+    results = [check(name, seed) for name in CHECKS]
     return results, time.perf_counter() - t0
 
 

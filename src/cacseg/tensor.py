@@ -539,7 +539,7 @@ def _tap_product(w_tap: np.ndarray, x_tap: np.ndarray, out: np.ndarray) -> np.nd
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
+           padding: int = 0) -> Tensor:
     """2D cross-correlation over N,C,H,W with gradients for all operands.
 
     Shift-and-accumulate kernel (MEC, Cho & Brand 2017): with the padded
@@ -555,8 +555,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     The taps of one image run back to back, so its accumulator stays in
     cache, and an image's output does not depend on the batch it came in.
-    A stride above one subsamples the unit-stride result (no caller in
-    the network uses one).
     """
     if x.ndim != 4:
         raise DimensionError(f"conv2d input must be 4D, got shape {x.shape}")
@@ -568,8 +566,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         raise DimensionError(
             f"conv2d input has {cin} channels but weight expects {cin_w}"
         )
-    if stride < 1:
-        raise DimensionError(f"conv2d stride must be >= 1, got {stride}")
     if kh > h + 2 * padding or kw > w + 2 * padding:
         raise DimensionError(
             f"conv2d kernel {kh}x{kw} exceeds padded input {h + 2 * padding}x{w + 2 * padding}"
@@ -579,16 +575,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             f"conv2d bias has shape {bias.shape}, expected ({cout},)"
         )
     hp, wp = h + 2 * padding, w + 2 * padding
-    hout = (hp - kh) // stride + 1
-    wout = (wp - kw) // stride + 1
-    # Unit-stride output rows, and the flat length from the first output
-    # pixel to the last: tap (i, j) reads x_flat[..., off:off + span].
-    rows = hp - kh + 1
-    span = rows * wp - kw + 1
+    hout, wout = hp - kh + 1, wp - kw + 1
+    # The flat length from the first output pixel to the last: tap (i, j)
+    # reads x_flat[..., off:off + span].
+    span = hout * wp - kw + 1
     taps = [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
-    keep = (slice(None), slice(None),
-            slice(0, (hout - 1) * stride + 1, stride),
-            slice(0, (wout - 1) * stride + 1, stride))
 
     if padding:
         xp = np.zeros((n, cin, hp, wp), dtype=x.dtype)
@@ -598,7 +589,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     x_flat = xp.reshape(n, cin, hp * wp)
     w_taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))
 
-    acc = np.empty((n, cout, rows * wp), dtype=x.dtype)
+    acc = np.empty((n, cout, hout * wp), dtype=x.dtype)
     tmp = np.empty((cout, span), dtype=x.dtype)
     for b in range(n):
         acc_b = acc[b, :, :span]
@@ -608,7 +599,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                 _tap_product(w_taps[i, j], x_tap, acc_b)
             else:
                 acc_b += _tap_product(w_taps[i, j], x_tap, tmp)
-    out_view = acc.reshape(n, cout, rows, wp)[keep]
+    out_view = acc.reshape(n, cout, hout, wp)[..., :wout]
     if bias is not None:
         out_data = out_view + bias.data.reshape(1, cout, 1, 1)
     else:
@@ -619,12 +610,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     def bw(g):
         if bias is not None and bias.requires_grad:
             bias._accum(g.sum(axis=(0, 2, 3)))
-        if (hout, wout) == (rows, wp):
+        if wout == wp:
             g_flat = np.ascontiguousarray(g).reshape(n, cout, span)
         else:
-            g_wide = np.zeros((n, cout, rows, wp), dtype=g.dtype)
-            g_wide[keep] = g
-            g_flat = g_wide.reshape(n, cout, rows * wp)[:, :, :span]
+            g_wide = np.zeros((n, cout, hout, wp), dtype=g.dtype)
+            g_wide[..., :wout] = g
+            g_flat = g_wide.reshape(n, cout, hout * wp)[:, :, :span]
         if weight.requires_grad:
             gw = np.empty((kh, kw, cin, cout), dtype=g.dtype)
             g_flat_t = g_flat.transpose(0, 2, 1)

@@ -221,10 +221,19 @@ def _restore_training_state(path, arch: ArchConfig):
             if key not in extra:
                 raise ConfigError(f"checkpoint {path} lacks optimizer entry {key}")
             dest[name] = extra[key].astype(np.float32)
-    state.step = int(extra["opt.step"][0])
-    start_epoch = int(extra["opt.epoch"][0])
-    best_score = float(extra.get("opt.best_score", np.array([-1.0]))[0])
-    best_epoch = int(extra.get("opt.best_epoch", np.array([-1.0]))[0])
+
+    def scalar(key, default=None) -> float:
+        if key not in extra and default is not None:
+            return default
+        if key not in extra or extra[key].size != 1:
+            held = f" as one value (it holds {extra[key].size})" if key in extra else ""
+            raise ConfigError(f"checkpoint {path} lacks optimizer entry {key}{held}")
+        return float(extra[key].item())
+
+    state.step = int(scalar("opt.step"))
+    start_epoch = int(scalar("opt.epoch"))
+    best_score = scalar("opt.best_score", -1.0)
+    best_epoch = int(scalar("opt.best_epoch", -1.0))
     return store, state, start_epoch, best_score, best_epoch
 
 

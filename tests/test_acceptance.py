@@ -57,12 +57,19 @@ def test_criterion_2_attention_shape_and_range():
         store = ParameterStore()
         init_ca(store, "ca", c, cfg, np.random.default_rng(1000 + draw))
         x = Tensor((rng.standard_normal((n, c, h, w)) * 3).astype(np.float32))
-        y, maps = ca_forward(x, store, "ca", cfg, training=(n * (h + w) >= 2),
-                             return_maps=True)
+        gates = []
+
+        def keep(a_h, a_w):
+            gates.extend((a_h, a_w))
+            return a_h, a_w
+
+        y = ca_forward(x, store, "ca", cfg, training=(n * (h + w) >= 2),
+                       attention_hook=keep)
+        a_h, a_w = gates
         assert y.shape == x.shape
-        assert maps.a_h.shape == (n, c, h, 1)
-        assert maps.a_w.shape == (n, c, 1, w)
-        for m in (maps.a_h.data, maps.a_w.data):
+        assert a_h.shape == (n, c, h, 1)
+        assert a_w.shape == (n, c, 1, w)
+        for m in (a_h.data, a_w.data):
             assert (m > 0.0).all() and (m < 1.0).all()
             worst_margin = min(worst_margin, float(m.min()), float(1.0 - m.max()))
     logits = Tensor((np.random.default_rng(3).standard_normal((4, 6, 16, 16)) * 5)

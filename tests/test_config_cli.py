@@ -35,6 +35,9 @@ FIELD_KEYS = {RENAMED.get((cls, f.name), prefix + f.name): (cls, f.name)
               if f.default is not dataclasses.MISSING}
 
 
+FLOAT_KEYS = sorted(k for k, spec in _REGISTRY.items() if spec.kind in ("float", "floats"))
+
+
 def _same(a, b) -> bool:
     """Equal type and value, field by field through nested dataclasses."""
     if type(a) is not type(b):
@@ -141,6 +144,21 @@ class TestConfig:
                                (cfg.phantom(), D.PhantomSpec())):
             default.validate()
             assert _same(built, default), type(default).__name__
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, key, value):
+        spec = _REGISTRY[key]
+        raw = value if spec.kind == "float" else ",".join(
+            [value] + [repr(v) for v in spec.default[1:]])
+        with pytest.raises(ConfigError, match=f"{key} = .* is not a finite number"):
+            load_config(None, [f"{key}={raw}"])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_class_weight_rejected(self, value):
+        cfg = load_config(None, [f"loss.class_weights=1,{value},1,1,1,1"])
+        with pytest.raises(ConfigError, match="loss.class_weights = .* is not a finite"):
+            cfg.loss()
 
     def test_auto_weights_from_counts(self):
         cfg = Config()
@@ -268,6 +286,19 @@ class TestCli:
                     (out / "score.tsv").read_text().splitlines()[1:])
         assert float(rows["lm"]) == pytest.approx(16.0)
         assert float(rows["total"]) == pytest.approx(16.0)
+
+    def test_score_with_nan_pixel_area_exits_1(self, tmp_path, capsys):
+        save_tns(tmp_path / "mask.tns", np.zeros((8, 8), np.uint8))
+        save_tns(tmp_path / "img.tns", np.zeros((1, 8, 8), np.float32))
+        out = tmp_path / "score"
+        rc = main(["score", "--out", str(out),
+                   "--set", f"score.image={tmp_path / 'img.tns'}",
+                   "--set", f"score.mask={tmp_path / 'mask.tns'}",
+                   "--set", "score.pixel_area_mm2=nan"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: score.pixel_area_mm2 = 'nan' is not a finite number")
+        assert not (out / "score.tsv").exists()
 
     def test_invalid_variant_exits_1(self, capsys):
         rc = main(["train", "--out", "/tmp/unused-cacseg",

@@ -181,9 +181,9 @@ class TestExport:
 
     def test_round_trip_equals_argmax(self, tmp_path):
         rng = np.random.default_rng(4)
-        logits = rng.standard_normal((1, 6, 8, 8)).astype(np.float32)
+        logits = rng.standard_normal((6, 8, 8)).astype(np.float32)
         mask_path, _ = E.export_prediction(logits, tmp_path / "x")
-        np.testing.assert_array_equal(load_tns(mask_path), logits[0].argmax(axis=0))
+        np.testing.assert_array_equal(load_tns(mask_path), logits.argmax(axis=0))
 
     def test_palette_has_six_distinct_colors(self):
         colors = {tuple(c) for c in E.PALETTE}

@@ -10,7 +10,7 @@ import pytest
 
 from cacseg import losses as L
 from cacseg.errors import ConfigError, LabelError
-from cacseg.gradcheck import OP_TOL, check_gradients, check_losses
+from cacseg.gradcheck import OP_TOL, check_gradients
 from cacseg.tensor import Tensor, softmax_channel
 
 
@@ -234,12 +234,6 @@ class TestClassWeights:
     def test_zero_count_treated_as_one(self):
         w = L.class_weights_from_counts([100, 0, 100, 100, 100, 100])
         assert np.isfinite(w).all() and w[1] == w.max()
-
-
-class TestGradients:
-    def test_all_variants_pass_finite_differences(self):
-        for res in check_losses(seed=0):
-            assert res.passed, res.row()
 
 
 # -- the loss core against the terms computed one by one ---------------------

@@ -255,6 +255,27 @@ class TestPersistence:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [TR.LAST_CHECKPOINT]
 
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("opt.step", None, id="no-step"),
+        pytest.param("opt.epoch", None, id="no-epoch"),
+        pytest.param("opt.step", np.zeros(0, np.float32), id="empty-step"),
+        pytest.param("opt.best_score", np.array([0.5, 0.5], np.float32), id="two-best-scores"),
+    ])
+    def test_resume_without_one_valued_scalar_is_a_config_error(self, tiny_dataset,
+                                                                  tmp_path, key, value):
+        path = tmp_path / TR.LAST_CHECKPOINT
+        store = build(TINY_ARCH, rng_seed=0)
+        TR._save_training_state(path, store, TR.adam_init(store), 1, 0.25, 0)
+        entries = params.load_checkpoint(path)
+        if value is None:
+            del entries[key]
+        else:
+            entries[key] = value
+        params.save_checkpoint(path, entries)
+        with pytest.raises(ConfigError, match=f"lacks optimizer entry {key}"):
+            TR.train(TINY_ARCH, tiny_dataset, tiny_dataset, LossConfig(),
+                     quick_cfg(epochs=2), tmp_path / "resumed", resume_from=path)
+
     def test_metrics_hold_finished_epochs_when_training_stops(self, tiny_dataset,
                                                               tmp_path, monkeypatch):
         # 8 slices at batch 4: loss call 5 is the first batch of epoch 2
