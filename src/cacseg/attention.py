@@ -5,7 +5,8 @@ the feature map is average-pooled along each spatial axis, the pooled
 maps are fused through a shared bottleneck conv, split back, and turned
 into per-axis sigmoid gates that multiply the input. The residual block
 that runs it on its skip path (RICA) lives in `cacseg.network`, which
-builds every conv-BN pair of the net with this module's `conv_bn`.
+builds every conv-BN pair of the net with this module's `init_conv_bn`
+and runs it with `conv_bn`.
 """
 
 from __future__ import annotations
@@ -78,14 +79,21 @@ def conv_bn(x: Tensor, store: ParameterStore, weight: str, bn: str, training: bo
     return conv2d(x, *fold_batchnorm(w, gamma, beta, state), padding=padding)
 
 
+def init_conv_bn(store: ParameterStore, weight: str, bn: str, cin: int, cout: int, k: int,
+                 rng: np.random.Generator) -> None:
+    """Add the parameters `conv_bn` reads: a k x k conv weight `weight`,
+    then the affine and the moments of batch norm `bn`."""
+    store.add_param(weight, kaiming_conv(rng, cout, cin, k, k))
+    store.add_param(f"{bn}.gamma", np.ones(cout, np.float32))
+    store.add_param(f"{bn}.beta", np.zeros(cout, np.float32))
+    store.add_moments(bn, cout)
+
+
 def init_ca(store: ParameterStore, prefix: str, channels: int, cfg: CAConfig,
             rng: np.random.Generator) -> None:
     """Add the attention module's parameters under `prefix`."""
     mid = cfg.mid_channels(channels)
-    store.add_param(f"{prefix}.conv1.weight", kaiming_conv(rng, mid, channels, 1, 1))
-    store.add_param(f"{prefix}.bn.gamma", np.ones(mid, np.float32))
-    store.add_param(f"{prefix}.bn.beta", np.zeros(mid, np.float32))
-    store.add_moments(f"{prefix}.bn", mid)
+    init_conv_bn(store, f"{prefix}.conv1.weight", f"{prefix}.bn", channels, mid, 1, rng)
     store.add_param(f"{prefix}.convh.weight", kaiming_conv(rng, channels, mid, 1, 1))
     store.add_param(f"{prefix}.convw.weight", kaiming_conv(rng, channels, mid, 1, 1))
 

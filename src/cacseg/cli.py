@@ -29,7 +29,7 @@ from .losses import resolve_variant
 # eval forwards run in training.predict; forward stays importable here
 # because perfbench's per-layer tracer wraps it at this module.
 from .network import forward, load_model  # noqa: F401
-from .tensor import load_tns
+from .tensor import load_tns, write_atomic
 
 
 def _out_dir(args) -> Path:
@@ -96,7 +96,7 @@ def cmd_eval(cfg: Config, args) -> int:
                      for logits, s in TR.predict(store, test_ds, batch))
     body = dice_report_tsv(dice)
     path = out / "dice.tsv"
-    path.write_text(body, encoding="utf-8")
+    write_atomic(path, body.encode("utf-8"))
     print(f"dice report ({mode}): {path}")
     print(body.strip())
     return 0
@@ -128,7 +128,7 @@ def cmd_gradcheck(cfg: Config, args) -> int:
         rows = ["op\tmax_rel_err\ttol\tchecked\texcluded\tstatus"]
         rows += [f"{r.name}\t{r.max_rel:.6e}\t{r.tol:g}\t{r.checked}\t{r.excluded}\t"
                  f"{'PASS' if r.passed else 'FAIL'}" for r in results]
-        (out / "gradcheck.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        write_atomic(out / "gradcheck.tsv", ("\n".join(rows) + "\n").encode("utf-8"))
     if all(r.passed for r in results):
         return 0
     print("gradient check FAILED", file=sys.stderr)
@@ -146,7 +146,7 @@ def cmd_score(cfg: Config, args) -> int:
     lines = ["vessel\tscore"]
     lines += [f"{name}\t{value:.4f}" for name, value in report.rows()]
     body = "\n".join(lines) + "\n"
-    (out / "score.tsv").write_text(body, encoding="utf-8")
+    write_atomic(out / "score.tsv", body.encode("utf-8"))
     print(body.strip())
     return 0
 

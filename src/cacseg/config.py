@@ -21,7 +21,7 @@ from .data import NUM_CLASSES, AugmentConfig, PhantomSpec
 from .errors import ConfigError
 from .losses import VARIANTS, LossConfig, class_weights_from_counts
 from .network import ArchConfig
-from .params import write_atomic
+from .tensor import write_atomic
 from .training import TrainConfig
 
 RESOLVED_NAME = "resolved.cfg"
@@ -163,7 +163,11 @@ class Config:
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"config file {p} does not exist")
-        for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"config file {p} is not UTF-8 text: {e}") from e
+        for lineno, line in enumerate(text.splitlines(), 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

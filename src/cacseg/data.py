@@ -26,8 +26,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError, DataIOError, LabelError
-from .params import write_atomic
-from .tensor import load_tns, save_tns
+from .tensor import load_tns, save_tns, write_atomic
 
 HU_LO = -150.0
 HU_HI = 230.0

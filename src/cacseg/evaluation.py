@@ -14,8 +14,8 @@ import numpy as np
 from scipy import ndimage
 
 from .data import CLASS_NAMES, NUM_CLASSES, hu_normalize
-from .errors import ConfigError, DataIOError, DimensionError, LabelError
-from .tensor import save_tns
+from .errors import ConfigError, DimensionError, LabelError
+from .tensor import save_tns, write_atomic
 
 # class -> RGB for overlays: background, bone, LM red, LAD amber,
 # LCX green, RCA blue
@@ -179,12 +179,7 @@ def write_ppm(path, rgb: np.ndarray) -> None:
     if rgb.ndim != 3 or rgb.shape[2] != 3 or rgb.dtype != np.uint8:
         raise DimensionError("PPM payload must be uint8 (H,W,3)")
     h, w = rgb.shape[:2]
-    try:
-        with open(path, "wb") as f:
-            f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-            f.write(rgb.tobytes(order="C"))
-    except OSError as e:
-        raise DataIOError(f"cannot write {path}: {e}") from e
+    write_atomic(path, f"P6\n{w} {h}\n255\n".encode("ascii") + rgb.tobytes(order="C"))
 
 
 def export_prediction(logits, dest_stem, hu_image=None) -> tuple:

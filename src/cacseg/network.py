@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import CAConfig, ca_forward, conv_bn, init_ca
+from .attention import CAConfig, ca_forward, conv_bn, init_ca, init_conv_bn
 from .data import NUM_CLASSES
 from .errors import ConfigError, ContractError, DimensionError
 from .params import ParameterStore, kaiming_conv, load_checkpoint
@@ -53,10 +53,7 @@ class ArchConfig:
 
 def _init_conv_bn(store: ParameterStore, prefix: str, cin: int, cout: int, k: int,
                   rng: np.random.Generator) -> None:
-    store.add_param(f"{prefix}.conv.weight", kaiming_conv(rng, cout, cin, k, k))
-    store.add_param(f"{prefix}.bn.gamma", np.ones(cout, np.float32))
-    store.add_param(f"{prefix}.bn.beta", np.zeros(cout, np.float32))
-    store.add_moments(f"{prefix}.bn", cout)
+    init_conv_bn(store, f"{prefix}.conv.weight", f"{prefix}.bn", cin, cout, k, rng)
 
 
 def _conv_bn(x: Tensor, store: ParameterStore, prefix: str, training: bool,
@@ -169,7 +166,7 @@ def load_model(path, arch: ArchConfig) -> tuple[ParameterStore, dict[str, np.nda
     """
     entries = load_checkpoint(path)
     store = build(arch, rng_seed=0)
-    store.load_entries(entries)
+    store.load_entries(entries, path)
     known = set(store.state_entries())
     extra = {k: v for k, v in entries.items() if k not in known}
     return store, extra

@@ -12,14 +12,12 @@ tensor. Round trips are bit-exact.
 
 from __future__ import annotations
 
-import contextlib
-import os
 import struct
 
 import numpy as np
 
 from .errors import ContractError, DataIOError
-from .tensor import RunningMoments, Tensor, tns_decode, tns_encode
+from .tensor import RunningMoments, Tensor, tns_decode, tns_encode, write_atomic
 
 _RCKP_MAGIC = b"RCKP"
 _RCKP_VERSION = 1
@@ -108,33 +106,37 @@ class ParameterStore:
             entries[name + _VAR_SUFFIX] = m.var
         return entries
 
-    def load_entries(self, entries: dict[str, np.ndarray]) -> None:
-        """Fill parameters and moments in place from checkpoint entries.
-
-        Every parameter and moments array must be present with a matching
-        shape; extra entries (e.g. optimizer state) are ignored.
+    def load_entries(self, entries: dict[str, np.ndarray], path) -> None:
+        """Fill parameters and moments in place from the entries of
+        checkpoint `path`, each read through `take_entry`; extra entries
+        (e.g. optimizer state) are ignored.
         """
+        def error(what):
+            return DataIOError(f"checkpoint {path} lacks model entry {what}")
         for name, t in self._params.items():
-            if name not in entries:
-                raise DataIOError(f"checkpoint is missing parameter {name!r}")
-            arr = entries[name]
-            if tuple(arr.shape) != tuple(t.shape):
-                raise DataIOError(
-                    f"checkpoint entry {name!r} has shape {arr.shape}, expected {t.shape}"
-                )
-            t.data = arr.astype(t.dtype, copy=True)
+            t.data = take_entry(entries, name, t.data, error)
         for name, m in self._moments.items():
-            for suffix, target in ((_MEAN_SUFFIX, "mean"), (_VAR_SUFFIX, "var")):
-                key = name + suffix
-                if key not in entries:
-                    raise DataIOError(f"checkpoint is missing moments entry {key!r}")
-                arr = entries[key]
-                if arr.shape != getattr(m, target).shape:
-                    raise DataIOError(
-                        f"checkpoint entry {key!r} has shape {arr.shape}, "
-                        f"expected {getattr(m, target).shape}"
-                    )
-                setattr(m, target, arr.astype(np.float32, copy=True))
+            m.mean = take_entry(entries, name + _MEAN_SUFFIX, m.mean, error)
+            m.var = take_entry(entries, name + _VAR_SUFFIX, m.var, error)
+
+
+def take_entry(entries: dict[str, np.ndarray], key: str, like: np.ndarray,
+               error) -> np.ndarray:
+    """A copy of `entries[key]` in the dtype of `like`.
+
+    Raises `error(what)`, with `what` naming the entry and its fault, when
+    the entry is missing, is not shaped like `like`, or holds a non-finite
+    value.
+    """
+    if key not in entries:
+        raise error(key)
+    arr = entries[key]
+    if arr.shape != like.shape:
+        raise error(f"{key} of shape {like.shape} (it has shape {arr.shape})")
+    bad = arr.size - np.count_nonzero(np.isfinite(arr))
+    if bad:
+        raise error(f"{key} with finite values ({bad} of {arr.size} are not)")
+    return arr.astype(like.dtype, copy=True)
 
 
 def save_checkpoint(path, entries: dict[str, np.ndarray]) -> None:
@@ -150,22 +152,6 @@ def save_checkpoint(path, entries: dict[str, np.ndarray]) -> None:
         blob += encoded
         blob += tns_encode(np.asarray(arr))
     write_atomic(path, bytes(blob))
-
-
-def write_atomic(path, data: bytes) -> None:
-    """Write `data` to `<path>.tmp`, then rename it over `path`.
-
-    A failed write leaves `path` as it was and removes the temporary file.
-    """
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except OSError as e:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise DataIOError(f"cannot write {path}: {e}") from e
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

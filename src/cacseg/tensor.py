@@ -19,8 +19,9 @@ remain, and a second ``backward`` through the released graph raises
 from __future__ import annotations
 
 import math
+import os
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -50,6 +51,7 @@ __all__ = [
     "directional_avgpool",
     "batchnorm2d",
     "fold_batchnorm",
+    "write_atomic",
     "save_tns",
     "load_tns",
     "tns_encode",
@@ -962,13 +964,25 @@ def tns_decode(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     return arr, end
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to `<path>.tmp`, then rename it over `path`.
+
+    A failed write leaves `path` as it was and removes the temporary file.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except OSError as e:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise DataIOError(f"cannot write {path}: {e}") from e
+
+
 def save_tns(path, arr: np.ndarray) -> None:
     """Write an array as a TNS1 container file (bit-exact round trip)."""
-    try:
-        with open(path, "wb") as f:
-            f.write(tns_encode(arr))
-    except OSError as e:
-        raise DataIOError(f"cannot write {path}: {e}") from e
+    write_atomic(path, tns_encode(arr))
 
 
 def load_tns(path) -> np.ndarray:

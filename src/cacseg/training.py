@@ -19,8 +19,8 @@ from .errors import ConfigError, ContractError, DimensionError, NumericError
 from .evaluation import dice_global
 from .losses import LossConfig, loss_by_variant
 from .network import ArchConfig, build, forward, load_model
-from .params import ParameterStore, save_checkpoint, write_atomic
-from .tensor import Tensor, no_grad
+from .params import ParameterStore, save_checkpoint, take_entry
+from .tensor import Tensor, no_grad, write_atomic
 
 METRICS_NAME = "metrics.tsv"
 METRICS_HEADER = "epoch\tlr\ttrain_loss\tdice_lm\tdice_lad\tdice_lcx\tdice_rca"
@@ -213,28 +213,18 @@ def _save_training_state(path, store: ParameterStore, state: AdamState,
 
 
 def _restore_training_state(path, arch: ArchConfig):
+    def error(what):
+        return ConfigError(f"checkpoint {path} lacks optimizer entry {what}")
     store, extra = load_model(path, arch)
     state = AdamState()
-    for name, _ in store.items():
-        for slot, dest in (("m", state.m), ("v", state.v)):
-            key = f"opt.{slot}.{name}"
-            if key not in extra:
-                raise ConfigError(f"checkpoint {path} lacks optimizer entry {key}")
-            dest[name] = extra[key].astype(np.float32)
-
-    def scalar(key, default=None) -> float:
-        if key not in extra and default is not None:
-            return default
-        if key not in extra or extra[key].size != 1:
-            held = f" as one value (it holds {extra[key].size})" if key in extra else ""
-            raise ConfigError(f"checkpoint {path} lacks optimizer entry {key}{held}")
-        return float(extra[key].item())
-
-    state.step = int(scalar("opt.step"))
-    start_epoch = int(scalar("opt.epoch"))
-    best_score = scalar("opt.best_score", -1.0)
-    best_epoch = int(scalar("opt.best_epoch", -1.0))
-    return store, state, start_epoch, best_score, best_epoch
+    for name, t in store.items():
+        state.m[name] = take_entry(extra, f"opt.m.{name}", t.data, error)
+        state.v[name] = take_entry(extra, f"opt.v.{name}", t.data, error)
+    step, start_epoch, best_score, best_epoch = (
+        take_entry(extra, f"opt.{key}", np.zeros(1), error).item()
+        for key in ("step", "epoch", "best_score", "best_epoch"))
+    state.step = int(step)
+    return store, state, int(start_epoch), best_score, int(best_epoch)
 
 
 def train(arch: ArchConfig, train_ds: D.Dataset, val_ds: D.Dataset,

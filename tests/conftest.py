@@ -1,9 +1,11 @@
 """Fixtures shared by the test modules."""
 
+from pathlib import Path
+
 import pytest
 
 from cacseg import data as D
-from cacseg import params
+from cacseg import tensor
 
 
 class HalfWriter:
@@ -25,13 +27,18 @@ class HalfWriter:
 
 @pytest.fixture
 def fail_atomic_writes(monkeypatch):
-    """Call the returned function to make every later `params.write_atomic` fail
-    half-way through its write, as a full disk would."""
+    """Call the returned function to make every later `tensor.write_atomic` fail
+    half-way through its write, as a full disk would. Given a file name, only
+    the writes of files of that name fail. Reads are left alone."""
     real_open = open
 
-    def arm():
-        monkeypatch.setattr(params, "open", lambda *a, **k: HalfWriter(real_open(*a, **k)),
-                            raising=False)
+    def arm(name=None):
+        def failing_open(file, mode="r", *args, **kwargs):
+            f = real_open(file, mode, *args, **kwargs)
+            if "w" in mode and name in (None, Path(file).name.removesuffix(".tmp")):
+                return HalfWriter(f)
+            return f
+        monkeypatch.setattr(tensor, "open", failing_open, raising=False)
     return arm
 
 

@@ -217,6 +217,41 @@ class TestCli:
         assert resolved.read_bytes() == before
         assert sorted(p.name for p in run.iterdir()) == ["resolved.cfg"]
 
+    def test_failed_dice_report_write_keeps_previous_file(self, micro_dataset, tmp_path,
+                                                          fail_atomic_writes, capsys):
+        ckpt = tmp_path / "net.rckp"
+        save_checkpoint(ckpt, build(load_config(None, TINY_NET[1::2]).arch(), 3).state_entries())
+        ev = tmp_path / "eval"
+        ev.mkdir()
+        (ev / "dice.tsv").write_bytes(b"previous report\n")
+        fail_atomic_writes("dice.tsv")
+        rc = main(["eval", "--out", str(ev), "--set", f"eval.checkpoint={ckpt}",
+                   "--set", f"data.test_dir={micro_dataset}", *TINY_NET])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("io error: cannot write")
+        assert (ev / "dice.tsv").read_bytes() == b"previous report\n"
+        assert sorted(p.name for p in ev.iterdir()) == ["dice.tsv", "resolved.cfg"]
+
+    @pytest.mark.parametrize("cmd", ["eval", "infer"])
+    def test_non_finite_model_entry_exits_2(self, cmd, micro_dataset, tmp_path, capsys):
+        entries = build(load_config(None, TINY_NET[1::2]).arch(), 3).state_entries()
+        entries["head.conv.bias"][2] = np.nan
+        ckpt = tmp_path / "net.rckp"
+        save_checkpoint(ckpt, entries)
+        rc = main([cmd, "--out", str(tmp_path / "out"), "--set", f"{cmd}.checkpoint={ckpt}",
+                   "--set", f"data.test_dir={micro_dataset}",
+                   "--set", f"infer.input_dir={micro_dataset}", *TINY_NET])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"io error: checkpoint {ckpt} lacks model entry head.conv.bias with finite values")
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_config_file_that_is_not_utf8_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"train.epochs = 2\n\xff\n")
+        assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: config file {bad} is not UTF-8")
+
     def test_train_eval_infer_pipeline(self, micro_dataset, tmp_path):
         run = tmp_path / "run"
         rc = main(["train", "--out", str(run),

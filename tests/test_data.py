@@ -129,7 +129,7 @@ class TestPhantom:
     def test_failed_manifest_write_keeps_previous_file(self, tmp_path, fail_atomic_writes):
         manifest = D.generate_phantom(D.PhantomSpec(slices=2, rng_seed=11, **DESK_SPEC), tmp_path)
         before = manifest.read_bytes()
-        fail_atomic_writes()
+        fail_atomic_writes(D.MANIFEST_NAME)
         with pytest.raises(DataIOError, match="No space left"):
             D.generate_phantom(D.PhantomSpec(slices=3, rng_seed=12, **DESK_SPEC), tmp_path)
         assert manifest.read_bytes() == before

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cacseg import evaluation as E
-from cacseg.errors import ConfigError, DimensionError, LabelError
+from cacseg.errors import ConfigError, DataIOError, DimensionError, LabelError
 from cacseg.tensor import load_tns
 
 
@@ -184,6 +184,18 @@ class TestExport:
         logits = rng.standard_normal((6, 8, 8)).astype(np.float32)
         mask_path, _ = E.export_prediction(logits, tmp_path / "x")
         np.testing.assert_array_equal(load_tns(mask_path), logits.argmax(axis=0))
+
+    @pytest.mark.parametrize("name", ["p.tns", "p.ppm"])
+    def test_failed_export_write_keeps_previous_file(self, tmp_path, fail_atomic_writes, name):
+        logits = np.zeros((6, 4, 4), np.float32)
+        E.export_prediction(logits, tmp_path / "p")
+        before = (tmp_path / name).read_bytes()
+        fail_atomic_writes(name)
+        logits[3] = 1.0
+        with pytest.raises(DataIOError, match="No space left"):
+            E.export_prediction(logits, tmp_path / "p")
+        assert (tmp_path / name).read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.ppm", "p.tns"]
 
     def test_palette_has_six_distinct_colors(self):
         colors = {tuple(c) for c in E.PALETTE}

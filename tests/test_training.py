@@ -260,6 +260,12 @@ class TestPersistence:
         pytest.param("opt.epoch", None, id="no-epoch"),
         pytest.param("opt.step", np.zeros(0, np.float32), id="empty-step"),
         pytest.param("opt.best_score", np.array([0.5, 0.5], np.float32), id="two-best-scores"),
+        pytest.param("opt.m.head.conv.bias", np.zeros(3, np.float32), id="misshapen-moment"),
+        pytest.param("opt.step", np.array([np.nan], np.float32), id="nan-step"),
+        pytest.param("opt.best_score", np.array([np.inf], np.float32), id="inf-best-score"),
+        pytest.param("opt.v.head.conv.bias", np.array([0, 0, np.nan, 0, 0, 0], np.float32),
+                     id="nan-in-moment"),
+        pytest.param("opt.best_score", None, id="no-best-score"),
     ])
     def test_resume_without_one_valued_scalar_is_a_config_error(self, tiny_dataset,
                                                                   tmp_path, key, value):

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Byte-identity recipe: trains, evaluates and infers with the cacseg in
-# <checkout>/src, runs the gradient checks, and writes <out>/SHA256SUMS over
-# every file it produced. Run it once on each of two checkouts, each into
+# Byte-identity recipe: trains, resumes, evaluates and infers with the cacseg
+# in <checkout>/src, runs the gradient checks, and writes <out>/SHA256SUMS
+# over every file it produced. Run it once on each of two checkouts, each into
 # its own empty <out>; the two SHA256SUMS then compare with one `diff`.
 #
 # Each resolved.cfg records the output directory it was written to, so it
@@ -29,6 +29,10 @@ C() { python3 -m cacseg.cli "$@" > /dev/null; }
 C synth --config configs/overfit.cfg --out "$O/ph-overfit"
 C train --config configs/overfit.cfg --set train.epochs=6 \
     --set data.train_dir="$O/ph-overfit" --out "$O/overfit"
+# resume: two more epochs from the run's last checkpoint
+C train --config configs/overfit.cfg --set train.epochs=8 \
+    --set train.resume="$O/overfit/last.rckp" \
+    --set data.train_dir="$O/ph-overfit" --out "$O/overfit-resume"
 C synth --config configs/desk64-phantom.cfg --set data.phantom.slices=48 --out "$O/ph-desk"
 C train --config configs/desk64-train.cfg --set train.epochs=2 \
     --set data.train_dir="$O/ph-desk" --set data.val_dir="$O/ph-desk" --out "$O/desk"
