@@ -152,12 +152,12 @@ def cmd_score(cfg: Config, args) -> int:
 
 
 _COMMANDS = {
-    "synth": cmd_synth,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "infer": cmd_infer,
-    "gradcheck": cmd_gradcheck,
-    "score": cmd_score,
+    "synth": (cmd_synth, "generate a synthetic phantom dataset"),
+    "train": (cmd_train, "train a model and log metrics"),
+    "eval": (cmd_eval, "compute the per-class Dice report on a test set"),
+    "infer": (cmd_infer, "export predicted masks and overlays"),
+    "gradcheck": (cmd_gradcheck, "verify every op against finite differences"),
+    "score": (cmd_score, "compute the per-vessel calcium score for one slice"),
 }
 
 
@@ -167,14 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Per-vessel coronary calcium segmentation kit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("synth", "generate a synthetic phantom dataset"),
-        ("train", "train a model and log metrics"),
-        ("eval", "compute the per-class Dice report on a test set"),
-        ("infer", "export predicted masks and overlays"),
-        ("gradcheck", "verify every op against finite differences"),
-        ("score", "compute the per-vessel calcium score for one slice"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--set", dest="overrides", action="append", default=[],
@@ -188,7 +181,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command][0](cfg, args)
     except (ConfigError, LabelError) as e:
         print(str(e), file=sys.stderr)
         return 1

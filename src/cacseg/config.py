@@ -206,10 +206,8 @@ class Config:
     def loss(self, pixel_counts=None) -> LossConfig:
         raw = self["loss.class_weights"]
         if raw == "auto":
-            if pixel_counts is None:
-                weights = np.ones(NUM_CLASSES)
-            else:
-                weights = class_weights_from_counts(pixel_counts)
+            weights = (np.ones(NUM_CLASSES) if pixel_counts is None
+                       else class_weights_from_counts(pixel_counts))
         else:
             try:
                 weights = np.array([_finite("loss.class_weights", x)
@@ -218,9 +216,6 @@ class Config:
                 raise ConfigError(
                     f"loss.class_weights must be 'auto' or comma-separated reals, got {raw!r}"
                 ) from None
-            if len(weights) != NUM_CLASSES:
-                raise ConfigError(
-                    f"loss.class_weights needs {NUM_CLASSES} entries, got {len(weights)}")
         return self._build(LossConfig, class_weights=weights)
 
     def record_loss(self, resolved: LossConfig) -> None:

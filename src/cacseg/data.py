@@ -33,13 +33,31 @@ HU_HI = 230.0
 HU_WINDOW = HU_HI - HU_LO  # clinical heart window: width 380, level 40
 HU_AIR = -1000.0
 
-NUM_CLASSES = 6
-LESION_CLASSES = (2, 3, 4, 5)
+# The label set: every other module reads the classes, the vessels and the
+# mask check from here.
 CLASS_NAMES = ("background", "bone", "lm", "lad", "lcx", "rca")
+NUM_CLASSES = len(CLASS_NAMES)
+LESION_CLASSES = (2, 3, 4, 5)
+VESSELS = CLASS_NAMES[2:]       # the names of LESION_CLASSES, in order
 
 MANIFEST_NAME = "manifest.tsv"
-MANIFEST_COLUMNS = ("image_path", "mask_path",
-                    "n_background", "n_bone", "n_lm", "n_lad", "n_lcx", "n_rca")
+MANIFEST_COLUMNS = ("image_path", "mask_path", *(f"n_{name}" for name in CLASS_NAMES))
+
+
+def check_labels(mask, what: str = "mask") -> np.ndarray:
+    """`mask` as int64. LabelError names `what` and, for a value outside
+    0..NUM_CLASSES-1, the first such value as given and its position."""
+    mask = np.asarray(mask)
+    if (not np.issubdtype(mask.dtype, np.integer)
+            and not np.array_equal(np.rint(mask), mask)):
+        raise LabelError(f"{what} contains non-integer values")
+    bad = (mask < 0) | (mask >= NUM_CLASSES)
+    if bad.any():
+        pos = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise LabelError(
+            f"{what} value {mask[pos].item()} at position {pos} outside 0..{NUM_CLASSES - 1}"
+        )
+    return mask.astype(np.int64)
 
 
 @dataclass
@@ -57,11 +75,7 @@ class SliceSample:
             raise DataIOError(
                 f"mask shape {self.mask.shape} does not match image {self.image.shape[1:]}"
             )
-        if self.mask.min() < 0 or self.mask.max() >= NUM_CLASSES:
-            raise LabelError(
-                f"mask values must lie in 0..{NUM_CLASSES - 1}, "
-                f"found {int(self.mask.min())}..{int(self.mask.max())}"
-            )
+        check_labels(self.mask, f"{self.slice_id} mask".lstrip())
 
 
 def preprocess(sample: SliceSample) -> np.ndarray:
@@ -195,7 +209,7 @@ class PhantomSpec:
             raise ConfigError(f"slices must be >= 1, got {self.slices}")
         if self.size < 16:
             raise ConfigError(f"size must be >= 16, got {self.size}")
-        for name in ("lm", "lad", "lcx", "rca"):
+        for name in VESSELS:
             p = self.p_lesion[name]
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"p_{name} must be in [0,1], got {p}")
@@ -275,7 +289,7 @@ def phantom_slice(spec: PhantomSpec, index: int) -> SliceSample:
     hu[body] += rng.normal(0.0, 4.0, (s, s))[body]
 
     cac_lo, cac_hi = spec.hu_cac
-    for cls, name in zip(LESION_CLASSES, ("lm", "lad", "lcx", "rca")):
+    for cls, name in zip(LESION_CLASSES, VESSELS):
         if rng.random() >= spec.p_lesion[name]:
             continue
         lo_px, hi_px = spec.px_range[name]

@@ -32,7 +32,7 @@ class NumericError(KitError):
 
 
 class LabelError(KitError):
-    """A mask value outside the 6-class label set."""
+    """A mask value that is not a label of the 6-class set."""
 
     prefix = "label error"
 

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .data import CLASS_NAMES, NUM_CLASSES, hu_normalize
-from .errors import ConfigError, DimensionError, LabelError
+from .data import (CLASS_NAMES, LESION_CLASSES, NUM_CLASSES, VESSELS, check_labels,
+                   hu_normalize)
+from .errors import ConfigError, DimensionError
 from .tensor import save_tns, write_atomic
 
 # class -> RGB for overlays: background, bone, LM red, LAD amber,
@@ -46,18 +47,13 @@ class DiceReport:
 
 
 def _check_masks(pred: np.ndarray, true: np.ndarray):
-    pred = np.asarray(pred)
-    true = np.asarray(true)
+    pred = check_labels(pred, "prediction")
+    true = check_labels(true, "target")
     if pred.shape != true.shape:
         raise DimensionError(
             f"prediction shape {pred.shape} does not match target {true.shape}"
         )
-    for name, m in (("prediction", pred), ("target", true)):
-        if m.size and (m.min() < 0 or m.max() >= NUM_CLASSES):
-            raise LabelError(
-                f"{name} mask holds values outside 0..{NUM_CLASSES - 1}"
-            )
-    return pred.astype(np.int64).ravel(), true.astype(np.int64).ravel()
+    return pred.ravel(), true.ravel()
 
 
 def _report(pred_px, true_px, inter) -> DiceReport:
@@ -116,9 +112,19 @@ class LesionScoreReport:
         return float(sum(self.scores.values()))
 
     def rows(self) -> list[tuple[str, float]]:
-        out = [(name, self.scores[name]) for name in ("lm", "lad", "lcx", "rca")]
+        out = [(name, self.scores[name]) for name in VESSELS]
         out.append(("total", self.total))
         return out
+
+
+def _hu_plane(hu_image, shape: tuple) -> np.ndarray:
+    """The (H,W) plane of an (H,W) or (1,H,W) HU image whose mask has `shape`."""
+    hu = np.asarray(hu_image)
+    if hu.ndim == 3 and hu.shape[0] == 1:
+        hu = hu[0]
+    if hu.shape != shape:
+        raise DimensionError(f"HU image shape {hu.shape} does not match mask {shape}")
+    return hu
 
 
 def _density_weight(peak_hu: float) -> int:
@@ -138,16 +144,10 @@ def agatston_per_lesion(mask, hu_image, pixel_area_mm2: float) -> LesionScoreRep
     """
     if pixel_area_mm2 <= 0:
         raise ConfigError(f"pixel_area_mm2 must be > 0, got {pixel_area_mm2}")
-    mask = np.asarray(mask)
-    hu = np.asarray(hu_image)
-    if hu.ndim == 3 and hu.shape[0] == 1:
-        hu = hu[0]
-    if mask.shape != hu.shape:
-        raise DimensionError(
-            f"mask shape {mask.shape} does not match HU image {hu.shape}"
-        )
+    mask = check_labels(mask)
+    hu = _hu_plane(hu_image, mask.shape)
     scores = {}
-    for cls, name in ((2, "lm"), (3, "lad"), (4, "lcx"), (5, "rca")):
+    for cls, name in zip(LESION_CLASSES, VESSELS):
         total = 0.0
         labeled, n = ndimage.label(mask == cls, structure=_FOUR_CONN)
         for comp in range(1, n + 1):
@@ -194,14 +194,7 @@ def export_prediction(logits, dest_stem, hu_image=None) -> tuple:
     save_tns(mask_path, mask)
     color = PALETTE[mask]
     if hu_image is not None:
-        hu = np.asarray(hu_image)
-        if hu.ndim == 3 and hu.shape[0] == 1:
-            hu = hu[0]
-        if hu.shape != mask.shape:
-            raise DimensionError(
-                f"HU image shape {hu.shape} does not match mask {mask.shape}"
-            )
-        gray = (hu_normalize(hu) * 255.0).astype(np.uint8)
+        gray = (hu_normalize(_hu_plane(hu_image, mask.shape)) * 255.0).astype(np.uint8)
         rgb = np.repeat(gray[..., None], 3, axis=2).astype(np.float32)
         fg = mask > 0
         rgb[fg] = 0.45 * rgb[fg] + 0.55 * color[fg].astype(np.float32)

@@ -197,8 +197,8 @@ def _network(seed: int) -> tuple:
 def _loss(fn: Callable[[Tensor, np.ndarray, L.LossConfig], Tensor]) -> Check:
     """A loss through the softmax on random 1x6x4x4 logits and labels."""
     def setup(seed):
-        target = np.random.default_rng(seed).integers(0, 6, size=(1, 4, 4))
-        logits = Tensor(np.random.default_rng(seed + 1).standard_normal((1, 6, 4, 4)),
+        target = np.random.default_rng(seed).integers(0, NUM_CLASSES, size=(1, 4, 4))
+        logits = Tensor(np.random.default_rng(seed + 1).standard_normal((1, NUM_CLASSES, 4, 4)),
                         requires_grad=True)
         cfg = L.LossConfig()
         return lambda: fn(logits, target, cfg), {"logits": logits}

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, LabelError
+from .data import NUM_CLASSES, check_labels
+from .errors import ConfigError
 from .tensor import Tensor, softmax_channel
 
 VARIANTS = ("CE", "Focal", "FocalDice", "FocalLogDice")
@@ -38,14 +39,10 @@ class LossConfig:
     focal_gamma: float = 2.0
     dice_gamma: float = 0.3
     smooth_eps: float = 1e-5
-    class_weights: np.ndarray = field(default_factory=lambda: np.ones(6))
+    class_weights: np.ndarray = field(default_factory=lambda: np.ones(NUM_CLASSES))
 
     def __post_init__(self):
         self.class_weights = np.asarray(self.class_weights, dtype=np.float64)
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.class_weights)
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:
@@ -58,7 +55,11 @@ class LossConfig:
             raise ConfigError(f"dice_gamma must be > 0, got {self.dice_gamma}")
         if self.smooth_eps <= 0:
             raise ConfigError(f"smooth_eps must be > 0, got {self.smooth_eps}")
-        if (self.class_weights <= 0).any():
+        w = self.class_weights
+        if w.shape != (NUM_CLASSES,):
+            got = len(w) if w.ndim == 1 else f"shape {w.shape}"
+            raise ConfigError(f"loss.class_weights needs {NUM_CLASSES} entries, got {got}")
+        if (w <= 0).any():
             raise ConfigError("class_weights must all be positive")
         if self.w_focal < 0 or self.w_dice < 0 or self.w_focal + self.w_dice == 0:
             raise ConfigError("combo weights must be non-negative and not both zero")
@@ -76,23 +77,8 @@ def class_weights_from_counts(counts) -> np.ndarray:
     return w / w.mean()
 
 
-def _check_target(target: np.ndarray, num_classes: int) -> np.ndarray:
-    """The mask as int64; LabelError names the first bad value as given."""
-    target = np.asarray(target)
-    if (not np.issubdtype(target.dtype, np.integer)
-            and not np.array_equal(np.rint(target), target)):
-        raise LabelError("target mask contains non-integer values")
-    bad = (target < 0) | (target >= num_classes)
-    if bad.any():
-        pos = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise LabelError(
-            f"mask value {target[pos].item()} at position {pos} outside 0..{num_classes - 1}"
-        )
-    return target.astype(np.int64)
-
-
-def _onehot(target: np.ndarray, num_classes: int, dtype) -> np.ndarray:
-    oh = np.eye(num_classes, dtype=dtype)[target]      # (N,H,W,C)
+def _onehot(target: np.ndarray, dtype) -> np.ndarray:
+    oh = np.eye(NUM_CLASSES, dtype=dtype)[target]      # (N,H,W,C)
     return np.ascontiguousarray(np.moveaxis(oh, -1, 1))
 
 
@@ -126,9 +112,9 @@ def _combo(logits: Tensor, target: np.ndarray, cfg: LossConfig, focal: bool,
            dice_term) -> Tensor:
     """w_focal * focal + w_dice * dice_term(soft Dice), or either term alone
     (`focal` false, `dice_term` None), unweighted, over one `probs * onehot`."""
-    target = _check_target(target, cfg.num_classes)
+    target = check_labels(target)
     probs = softmax_channel(logits)
-    onehot = _onehot(target, cfg.num_classes, probs.dtype.type)
+    onehot = _onehot(target, probs.dtype.type)
     hit = probs * onehot
     if dice_term is None:
         return _focal(hit, target, cfg)
@@ -137,12 +123,12 @@ def _combo(logits: Tensor, target: np.ndarray, cfg: LossConfig, focal: bool,
 
 
 def soft_dice_per_class(probs: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
-    """Per-class soft Dice over the whole batch; shape (num_classes,).
+    """Per-class soft Dice over the whole batch; shape (NUM_CLASSES,).
 
     An empty class (no probability mass and no target pixels) smooths to
     eps/eps = 1 and therefore contributes no loss.
     """
-    onehot = _onehot(target, cfg.num_classes, probs.dtype.type)
+    onehot = _onehot(target, probs.dtype.type)
     return _soft_dice(probs, onehot, probs * onehot, cfg.smooth_eps)
 
 
@@ -175,7 +161,7 @@ def resolve_variant(cfg: LossConfig) -> LossConfig:
     focal loss at gamma 0 with unit class weights."""
     cfg.validate()
     if cfg.variant == "CE":
-        return replace(cfg, focal_gamma=0.0, class_weights=np.ones(cfg.num_classes))
+        return replace(cfg, focal_gamma=0.0, class_weights=np.ones(NUM_CLASSES))
     return cfg
 
 

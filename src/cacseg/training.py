@@ -23,7 +23,7 @@ from .params import ParameterStore, save_checkpoint, take_entry
 from .tensor import Tensor, no_grad, write_atomic
 
 METRICS_NAME = "metrics.tsv"
-METRICS_HEADER = "epoch\tlr\ttrain_loss\tdice_lm\tdice_lad\tdice_lcx\tdice_rca"
+METRICS_HEADER = "\t".join(("epoch", "lr", "train_loss", *(f"dice_{v}" for v in D.VESSELS)))
 BEST_CHECKPOINT = "best.rckp"
 LAST_CHECKPOINT = "last.rckp"
 
@@ -216,15 +216,22 @@ def _restore_training_state(path, arch: ArchConfig):
     def error(what):
         return ConfigError(f"checkpoint {path} lacks optimizer entry {what}")
     store, extra = load_model(path, arch)
+
+    def whole_number(key):
+        value = take_entry(extra, f"opt.{key}", np.zeros(1), error).item()
+        if not value.is_integer() or value < 0:
+            raise error(f"opt.{key} holding a whole number >= 0 (it holds {value!r})")
+        return int(value)
     state = AdamState()
     for name, t in store.items():
         state.m[name] = take_entry(extra, f"opt.m.{name}", t.data, error)
         state.v[name] = take_entry(extra, f"opt.v.{name}", t.data, error)
-    step, start_epoch, best_score, best_epoch = (
-        take_entry(extra, f"opt.{key}", np.zeros(1), error).item()
-        for key in ("step", "epoch", "best_score", "best_epoch"))
-    state.step = int(step)
-    return store, state, int(start_epoch), best_score, int(best_epoch)
+        if (state.v[name] < 0).any():
+            raise error(f"opt.v.{name} with no negative value")
+    state.step = whole_number("step")
+    start_epoch = whole_number("epoch")
+    best_score = take_entry(extra, "opt.best_score", np.zeros(1), error).item()
+    return store, state, start_epoch, best_score, whole_number("best_epoch")
 
 
 def train(arch: ArchConfig, train_ds: D.Dataset, val_ds: D.Dataset,
@@ -292,7 +299,7 @@ def train(arch: ArchConfig, train_ds: D.Dataset, val_ds: D.Dataset,
         mean_loss = loss_sum / max(batches, 1)
 
         dice = evaluate_dice(store, val_ds, train_cfg.batch_size)
-        lesion = dice[2:6]
+        lesion = dice[list(D.LESION_CLASSES)]
         rows.append((epoch, lr, mean_loss, *lesion.tolist()))
         score = float(lesion.mean())
         if score > best_score:

@@ -1,6 +1,7 @@
 """Config parsing and end-to-end CLI tests."""
 
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
@@ -246,6 +247,27 @@ class TestCli:
             f"io error: checkpoint {ckpt} lacks model entry head.conv.bias with finite values")
         assert list((tmp_path / "out").iterdir()) == []
 
+    @pytest.mark.parametrize("value, dtype, fault", [
+        pytest.param(2.5, np.float32, "contains non-integer values", id="non-integer"),
+        pytest.param(7, np.uint8, "value 7 at position (5, 9) outside 0..5", id="out-of-range"),
+    ])
+    @pytest.mark.parametrize("cmd", ["train", "eval"])
+    def test_dataset_mask_off_the_label_set_exits_1(self, cmd, value, dtype, fault,
+                                                    micro_dataset, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(micro_dataset, data)
+        mask_path = data / "masks" / "slice_00003.tns"
+        mask = load_tns(mask_path).astype(dtype)
+        mask[5, 9] = value
+        save_tns(mask_path, mask)
+        ckpt = tmp_path / "net.rckp"
+        save_checkpoint(ckpt, build(load_config(None, TINY_NET[1::2]).arch(), 3).state_entries())
+        rc = main([cmd, "--out", str(tmp_path / "out"), "--set", f"data.train_dir={data}",
+                   "--set", f"data.test_dir={data}", "--set", f"eval.checkpoint={ckpt}",
+                   *SHORT_TRAIN, *TINY_NET, *TINY_AUG])
+        assert rc == 1
+        assert capsys.readouterr().err == f"label error: slice_00003 mask {fault}\n"
+
     def test_config_file_that_is_not_utf8_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_bytes(b"train.epochs = 2\n\xff\n")
@@ -334,6 +356,23 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             "config error: score.pixel_area_mm2 = 'nan' is not a finite number")
         assert not (out / "score.tsv").exists()
+
+    @pytest.mark.parametrize("value, dtype, fault", [
+        pytest.param(2.5, np.float32, "contains non-integer values", id="non-integer"),
+        pytest.param(7, np.uint8, "value 7 at position (3, 2) outside 0..5", id="out-of-range"),
+    ])
+    def test_score_mask_off_the_label_set_exits_1(self, value, dtype, fault, tmp_path, capsys):
+        mask = np.zeros((8, 8), dtype)
+        mask[2:4, 2:4] = 3
+        mask[3, 2] = value
+        save_tns(tmp_path / "mask.tns", mask)
+        save_tns(tmp_path / "img.tns", np.full((1, 8, 8), 450.0, np.float32))
+        rc = main(["score", "--out", str(tmp_path / "score"),
+                   "--set", f"score.image={tmp_path / 'img.tns'}",
+                   "--set", f"score.mask={tmp_path / 'mask.tns'}"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"label error: mask {fault}\n"
+        assert not (tmp_path / "score" / "score.tsv").exists()
 
     def test_invalid_variant_exits_1(self, capsys):
         rc = main(["train", "--out", "/tmp/unused-cacseg",

@@ -218,6 +218,12 @@ class TestVariants:
             assert fn(random_logits, target).item() >= 0.0
             assert fn(perfect, target).item() < 1e-6
 
+    @pytest.mark.parametrize("shape, got", [((5,), "got 5"), ((7,), "got 7"),
+                                            ((2, 3), r"got shape \(2, 3\)")])
+    def test_class_weights_of_another_class_count_rejected(self, shape, got):
+        with pytest.raises(ConfigError, match=f"loss.class_weights needs 6 entries, {got}"):
+            L.LossConfig(class_weights=np.ones(shape)).validate()
+
     def test_logdice_weights_normalized(self):
         cfg = L.LossConfig(w_focal=1.0, w_dice=1.5)
         cfg.validate()
@@ -332,7 +338,7 @@ class TestLossCore:
 
     def test_one_check_softmax_and_onehot_per_call(self, monkeypatch):
         calls = Counter()
-        for attr in ("_check_target", "softmax_channel", "_onehot"):
+        for attr in ("check_labels", "softmax_channel", "_onehot"):
             def counted(*args, _orig=getattr(L, attr), _attr=attr):
                 calls[_attr] += 1
                 return _orig(*args)
@@ -343,7 +349,7 @@ class TestLossCore:
         for name in ENTRIES:
             calls.clear()
             _loss_fn(name, np.ones(6))(logits, target)
-            assert calls == {"_check_target": 1, "softmax_channel": 1, "_onehot": 1}, name
+            assert calls == {"check_labels": 1, "softmax_channel": 1, "_onehot": 1}, name
 
 
 class TestTargetCheck:

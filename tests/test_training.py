@@ -266,6 +266,13 @@ class TestPersistence:
         pytest.param("opt.v.head.conv.bias", np.array([0, 0, np.nan, 0, 0, 0], np.float32),
                      id="nan-in-moment"),
         pytest.param("opt.best_score", None, id="no-best-score"),
+        pytest.param("opt.v.head.conv.bias", np.full(6, -1.0, np.float32),
+                     id="negative-second-moment"),
+        pytest.param("opt.step", np.array([2.5], np.float32), id="fractional-step"),
+        pytest.param("opt.epoch", np.array([1.5], np.float32), id="fractional-epoch"),
+        pytest.param("opt.best_epoch", np.array([0.5], np.float32), id="fractional-best-epoch"),
+        pytest.param("opt.step", np.array([-1], np.float32), id="negative-step"),
+        pytest.param("opt.epoch", np.array([-3], np.float32), id="negative-epoch"),
     ])
     def test_resume_without_one_valued_scalar_is_a_config_error(self, tiny_dataset,
                                                                   tmp_path, key, value):

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Byte-identity recipe: trains, resumes, evaluates and infers with the cacseg
-# in <checkout>/src, runs the gradient checks, and writes <out>/SHA256SUMS
-# over every file it produced. Run it once on each of two checkouts, each into
-# its own empty <out>; the two SHA256SUMS then compare with one `diff`.
+# Byte-identity recipe: trains, resumes, evaluates, infers and scores with the
+# cacseg in <checkout>/src, runs the gradient checks, and writes <out>/SHA256SUMS
+# over every file it produced. It fails if any `*.tmp` file is left in <out>.
+# Run it once on each of two checkouts, each into its own empty <out>; the two
+# SHA256SUMS then compare with one `diff`.
 #
 # Each resolved.cfg records the output directory it was written to, so it
 # is hashed with <out> replaced by the literal string "<out>".
@@ -70,8 +71,17 @@ C infer --config configs/desk64-train.cfg --set infer.checkpoint="$O/desk/last.r
     --set infer.input_dir="$O/ph-desk" --set infer.limit=5 --set train.batch_size=3 \
     --out "$O/infer-desk-b3"
 C gradcheck --out "$O/gc"
+# per-vessel calcium score of a slice that holds all four vessels
+C score --set score.image="$O/ph-overfit/images/slice_00000.tns" \
+    --set score.mask="$O/ph-overfit/masks/slice_00000.tns" \
+    --set score.pixel_area_mm2=0.5 --out "$O/score"
 
 cd "$O"
+leftover=$(find . -name '*.tmp')
+if [ -n "$leftover" ]; then
+    echo "temporary files left behind:" $leftover >&2
+    exit 1
+fi
 find . -type f ! -name SHA256SUMS | LC_ALL=C sort | while read -r f; do
     if [ "$(basename "$f")" = resolved.cfg ]; then
         printf '%s  %s\n' "$(sed "s|$O|<out>|g" "$f" | sha256sum | cut -d' ' -f1)" "$f"
