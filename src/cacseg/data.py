@@ -45,8 +45,9 @@ MANIFEST_COLUMNS = ("image_path", "mask_path", *(f"n_{name}" for name in CLASS_N
 
 
 def check_labels(mask, what: str = "mask") -> np.ndarray:
-    """`mask` as int64. LabelError names `what` and, for a value outside
-    0..NUM_CLASSES-1, the first such value as given and its position."""
+    """`mask` as an array, not copied, once every value is a class label.
+    LabelError names `what` and, for a value outside 0..NUM_CLASSES-1, the
+    first such value as given and its position."""
     mask = np.asarray(mask)
     if (not np.issubdtype(mask.dtype, np.integer)
             and not np.array_equal(np.rint(mask), mask)):
@@ -57,7 +58,7 @@ def check_labels(mask, what: str = "mask") -> np.ndarray:
         raise LabelError(
             f"{what} value {mask[pos].item()} at position {pos} outside 0..{NUM_CLASSES - 1}"
         )
-    return mask.astype(np.int64)
+    return mask
 
 
 @dataclass

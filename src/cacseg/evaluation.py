@@ -47,8 +47,8 @@ class DiceReport:
 
 
 def _check_masks(pred: np.ndarray, true: np.ndarray):
-    pred = check_labels(pred, "prediction")
-    true = check_labels(true, "target")
+    pred = check_labels(pred, "prediction").astype(np.int64, copy=False)
+    true = check_labels(true, "target").astype(np.int64, copy=False)
     if pred.shape != true.shape:
         raise DimensionError(
             f"prediction shape {pred.shape} does not match target {true.shape}"

@@ -112,7 +112,7 @@ def _combo(logits: Tensor, target: np.ndarray, cfg: LossConfig, focal: bool,
            dice_term) -> Tensor:
     """w_focal * focal + w_dice * dice_term(soft Dice), or either term alone
     (`focal` false, `dice_term` None), unweighted, over one `probs * onehot`."""
-    target = check_labels(target)
+    target = check_labels(target).astype(np.int64, copy=False)
     probs = softmax_channel(logits)
     onehot = _onehot(target, probs.dtype.type)
     hit = probs * onehot

@@ -98,8 +98,21 @@ def build(arch: ArchConfig, rng_seed: int) -> ParameterStore:
     affine at one/zero. Deterministic: the same seed gives a bit-identical
     store.
     """
+    return _build(arch, np.random.default_rng(np.random.SeedSequence(rng_seed)))
+
+
+class _NoDraw:
+    """Stands in for the generator of `_build` when every weight is about
+    to be overwritten: it hands out zeros and draws nothing."""
+
+    @staticmethod
+    def standard_normal(shape) -> np.ndarray:
+        return np.zeros(shape, np.float32)
+
+
+def _build(arch: ArchConfig, rng) -> ParameterStore:
+    """The store layout of `arch`, every conv weight drawn from `rng`."""
     arch.validate()
-    rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
     store = ParameterStore()
     store.arch = arch
 
@@ -161,11 +174,12 @@ def forward(store: ParameterStore, batch: Tensor, training: bool = False) -> Ten
 def load_model(path, arch: ArchConfig) -> tuple[ParameterStore, dict[str, np.ndarray]]:
     """Rebuild a store for `arch` and fill it from a checkpoint file.
 
-    Returns the store plus any extra entries (optimizer state etc.) the
-    checkpoint carried.
+    The layout comes from `build`'s declaration, but no weight is drawn:
+    every entry is overwritten by the checkpoint's. Returns the store plus
+    any extra entries (optimizer state etc.) the checkpoint carried.
     """
     entries = load_checkpoint(path)
-    store = build(arch, rng_seed=0)
+    store = _build(arch, _NoDraw())
     store.load_entries(entries, path)
     known = set(store.state_entries())
     extra = {k: v for k, v in entries.items() if k not in known}

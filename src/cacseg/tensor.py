@@ -5,15 +5,19 @@ same ops run unchanged on float64 tensors, which is how the gradient
 checker builds its 64-bit reference path. Gradients are accumulated
 additively across fan-out, so ``y = x + x`` yields ``grad(x) == 2``.
 
-The recorded graph lives in the tensors themselves: each op output keeps
-references to its inputs plus a backward closure. ``Tensor.backward``
-topologically sorts that record and visits every op exactly once in
-reverse execution order. It releases the graph as it goes: once an op's
-closure has run, that op's output drops its gradient, its closure and its
-inputs, so intermediate outputs and closure buffers are freed as soon as
-their last consumer is done. When ``backward`` returns only leaf grads
-remain, and a second ``backward`` through the released graph raises
-``ContractError``.
+The recorded graph is made of nodes, not values. Every tensor owns one
+node, which holds its gradient slot, its backward closure, the nodes of
+its inputs and its shape; the tensor itself holds only ``data``. An op's
+closure captures its inputs' nodes plus exactly the arrays its backward
+formula reads (the padded conv input, the normalized BN input, the ReLU
+sign mask, both operands of a product ...), so an op output that no
+closure saved is freed as soon as the forward drops its tensor.
+``Tensor.backward`` topologically sorts the nodes and visits every op
+exactly once in reverse execution order. It releases the graph as it
+goes: once a node's closure has run, the node drops its gradient, its
+closure and its inputs, so saved arrays are freed as soon as their last
+consumer is done. When ``backward`` returns only leaf grads remain, and a
+second ``backward`` through the released graph raises ``ContractError``.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import weakref
 from contextlib import contextmanager, suppress
 from typing import Callable, Optional, Sequence
 
@@ -102,10 +107,52 @@ def _trace(arr: np.ndarray) -> None:
         _switch_trace.append(arr)
 
 
-class Tensor:
-    """N-dimensional float array with an optional gradient slot."""
+def _ref(data) -> Callable[[], object]:
+    """A weak reference to `data`; numpy scalars take none and are held."""
+    if isinstance(data, np.ndarray):
+        return weakref.ref(data)
+    return lambda: data
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+
+class _Node:
+    """One tensor's place in the graph: gradient slot, backward closure,
+    input nodes and shape, plus a weak reference to the tensor's data."""
+
+    __slots__ = ("grad", "requires_grad", "_parents", "_backward_fn", "shape", "_data")
+
+    def __init__(self, data, requires_grad: bool, parents: tuple = (),
+                 backward_fn: Optional[Callable[[np.ndarray], None]] = None):
+        self.grad: Optional[np.ndarray] = None
+        self.requires_grad = requires_grad
+        self._parents = parents
+        self._backward_fn = backward_fn
+        self.shape = data.shape
+        self._data = _ref(data)
+
+    @property
+    def data(self):
+        """The tensor's data while something still holds it, else an empty
+        array."""
+        arr = self._data()
+        return np.empty(0, np.float32) if arr is None else arr
+
+    def accum(self, g: np.ndarray) -> None:
+        if not self.requires_grad:
+            return
+        if self.grad is None:
+            self.grad = g.copy() if g.base is not None or g is self._data() else g
+        else:
+            self.grad = self.grad + g
+
+
+class Tensor:
+    """N-dimensional float array with an optional gradient slot.
+
+    ``grad``, ``requires_grad``, ``_parents`` and ``_backward_fn`` live on
+    the tensor's graph node; ``grad`` and ``_backward_fn`` may be set.
+    """
+
+    __slots__ = ("_data", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None, check: bool = True):
         if isinstance(data, Tensor):
@@ -117,75 +164,107 @@ class Tensor:
             arr = arr.astype(np.float32)
         if check and not np.isfinite(arr).all():
             raise NumericError("tensor construction received non-finite values")
-        self.data: np.ndarray = arr
-        self.grad: Optional[np.ndarray] = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple = ()
-        self._backward_fn: Optional[Callable[[np.ndarray], None]] = None
+        self._data: np.ndarray = arr
+        self._node = _Node(arr, bool(requires_grad))
 
     @classmethod
     def _make(cls, data: np.ndarray, parents: tuple, backward_fn) -> "Tensor":
+        """The output of an op whose inputs have the nodes `parents`."""
         out = cls.__new__(cls)
-        out.data = data
-        out.grad = None
-        req = _grad_enabled and any(p.requires_grad for p in parents)
-        out.requires_grad = req
-        if req:
-            out._parents = parents
-            out._backward_fn = backward_fn
+        out._data = data
+        if _grad_enabled and any(p.requires_grad for p in parents):
+            out._node = _Node(data, True, parents, backward_fn)
         else:
-            out._parents = ()
-            out._backward_fn = None
+            out._node = _Node(data, False)
         return out
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @data.setter
+    def data(self, arr: np.ndarray) -> None:
+        self._data = arr
+        self._node.shape = arr.shape
+        self._node._data = _ref(arr)
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, g: Optional[np.ndarray]) -> None:
+        self._node.grad = g
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node.requires_grad
+
+    @property
+    def _parents(self) -> tuple:
+        return self._node._parents
+
+    @property
+    def _backward_fn(self):
+        return self._node._backward_fn
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn) -> None:
+        self._node._backward_fn = fn
 
     # -- introspection -------------------------------------------------
 
     @property
     def shape(self):
-        return self.data.shape
+        return self._data.shape
 
     @property
     def ndim(self) -> int:
-        return self.data.ndim
+        return self._data.ndim
 
     @property
     def size(self) -> int:
-        return self.data.size
+        return self._data.size
 
     @property
     def dtype(self):
-        return self.data.dtype
+        return self._data.dtype
 
     def item(self) -> float:
-        return float(self.data)
+        return float(self._data)
 
     def to_double(self) -> "Tensor":
-        return Tensor(self.data.astype(np.float64), requires_grad=self.requires_grad)
+        return Tensor(self._data.astype(np.float64), requires_grad=self.requires_grad)
 
     def __repr__(self) -> str:
         req = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{req})"
+        return f"Tensor(shape={self._data.shape}, dtype={self._data.dtype}{req})"
 
     # -- backward ------------------------------------------------------
 
     def backward(self) -> None:
         """Populate grad slots of every requires_grad leaf reachable from self.
 
-        The graph is released as the pass runs. After a non-leaf node's
-        closure has run, the node drops its ``grad``, its closure and its
-        parents, so its buffers are freed once no later closure needs them.
-        Leaves (``_backward_fn is None``) keep their grads. A later backward
-        through any released node raises ``ContractError``.
+        Walks the nodes recorded behind this tensor and runs each op's
+        closure once, outputs before inputs. The closures read only the
+        input nodes and the arrays they saved in forward; op outputs that
+        no closure saved are gone by now. The graph is released as the
+        pass runs: after a node's closure has run, the node drops its
+        ``grad``, its closure and its parents, so the arrays that closure
+        saved are freed once no later closure needs them. Leaves (no
+        closure) keep their grads. A later backward through any released
+        node raises ``ContractError``.
         """
-        if self.data.size != 1:
+        if self._data.size != 1:
             raise ContractError(
-                f"backward requires a scalar loss, got shape {self.data.shape}"
+                f"backward requires a scalar loss, got shape {self._data.shape}"
             )
-        if not self.requires_grad:
+        root = self._node
+        if not root.requires_grad:
             return
-        topo: list[Tensor] = []
+        topo: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, emitted = stack.pop()
             if emitted:
@@ -198,7 +277,7 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self._data)
         while topo:
             node = topo.pop()
             fn = node._backward_fn
@@ -210,14 +289,6 @@ class Tensor:
             node._backward_fn = _released
             node._parents = ()
 
-    def _accum(self, g: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
-        if self.grad is None:
-            self.grad = g.copy() if g.base is not None or g is self.data else g
-        else:
-            self.grad = self.grad + g
-
     # -- elementwise arithmetic (broadcasting) --------------------------
 
     def _coerce(self, other) -> "Tensor":
@@ -228,24 +299,26 @@ class Tensor:
     def __add__(self, other):
         b = self._coerce(other)
         out_data = self.data + b.data
+        an, bn = self._node, b._node
 
         def bw(g):
-            self._accum(_unbroadcast(g, self.shape))
-            b._accum(_unbroadcast(g, b.shape))
+            an.accum(_unbroadcast(g, an.shape))
+            bn.accum(_unbroadcast(g, bn.shape))
 
-        return Tensor._make(out_data, (self, b), bw)
+        return Tensor._make(out_data, (an, bn), bw)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         b = self._coerce(other)
         out_data = self.data - b.data
+        an, bn = self._node, b._node
 
         def bw(g):
-            self._accum(_unbroadcast(g, self.shape))
-            b._accum(_unbroadcast(-g, b.shape))
+            an.accum(_unbroadcast(g, an.shape))
+            bn.accum(_unbroadcast(-g, bn.shape))
 
-        return Tensor._make(out_data, (self, b), bw)
+        return Tensor._make(out_data, (an, bn), bw)
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
@@ -254,12 +327,13 @@ class Tensor:
         b = self._coerce(other)
         out_data = self.data * b.data
         a_d, b_d = self.data, b.data
+        an, bn = self._node, b._node
 
         def bw(g):
-            self._accum(_unbroadcast(g * b_d, self.shape))
-            b._accum(_unbroadcast(g * a_d, b.shape))
+            an.accum(_unbroadcast(g * b_d, an.shape))
+            bn.accum(_unbroadcast(g * a_d, bn.shape))
 
-        return Tensor._make(out_data, (self, b), bw)
+        return Tensor._make(out_data, (an, bn), bw)
 
     __rmul__ = __mul__
 
@@ -267,21 +341,24 @@ class Tensor:
         b = self._coerce(other)
         out_data = self.data / b.data
         a_d, b_d = self.data, b.data
+        an, bn = self._node, b._node
 
         def bw(g):
-            self._accum(_unbroadcast(g / b_d, self.shape))
-            b._accum(_unbroadcast(-g * a_d / (b_d * b_d), b.shape))
+            an.accum(_unbroadcast(g / b_d, an.shape))
+            bn.accum(_unbroadcast(-g * a_d / (b_d * b_d), bn.shape))
 
-        return Tensor._make(out_data, (self, b), bw)
+        return Tensor._make(out_data, (an, bn), bw)
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
 
     def __neg__(self):
-        def bw(g):
-            self._accum(-g)
+        xn = self._node
 
-        return Tensor._make(-self.data, (self,), bw)
+        def bw(g):
+            xn.accum(-g)
+
+        return Tensor._make(-self.data, (xn,), bw)
 
     def pow(self, exponent: float, grad_floor: float = 0.0) -> "Tensor":
         """Elementwise power with a real exponent.
@@ -293,39 +370,43 @@ class Tensor:
         """
         d = self.data
         out_data = d ** exponent
+        xn = self._node
 
         def bw(g):
             base = np.maximum(d, grad_floor) if grad_floor > 0.0 else d
-            self._accum(g * exponent * base ** (exponent - 1.0))
+            xn.accum(g * exponent * base ** (exponent - 1.0))
 
-        return Tensor._make(out_data, (self,), bw)
+        return Tensor._make(out_data, (xn,), bw)
 
     def __pow__(self, exponent: float) -> "Tensor":
         return self.pow(exponent)
 
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
+        xn = self._node
 
         def bw(g):
-            self._accum(g * out_data)
+            xn.accum(g * out_data)
 
-        return Tensor._make(out_data, (self,), bw)
+        return Tensor._make(out_data, (xn,), bw)
 
     def log(self) -> "Tensor":
         d = self.data
+        xn = self._node
 
         def bw(g):
-            self._accum(g / d)
+            xn.accum(g / d)
 
-        return Tensor._make(np.log(d), (self,), bw)
+        return Tensor._make(np.log(d), (xn,), bw)
 
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self.data)
+        xn = self._node
 
         def bw(g):
-            self._accum(g * 0.5 / out_data)
+            xn.accum(g * 0.5 / out_data)
 
-        return Tensor._make(out_data, (self,), bw)
+        return Tensor._make(out_data, (xn,), bw)
 
     def clip(self, lo: Optional[float], hi: Optional[float]) -> "Tensor":
         d = self.data
@@ -336,69 +417,71 @@ class Tensor:
         if hi is not None:
             inside &= d <= hi
         _trace(inside)
+        xn = self._node
 
         def bw(g):
-            self._accum(g * inside)
+            xn.accum(g * inside)
 
-        return Tensor._make(out_data, (self,), bw)
+        return Tensor._make(out_data, (xn,), bw)
 
     # -- reductions ------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        in_shape = self.shape
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        xn = self._node
 
         def bw(g):
-            self._accum(_spread(g, in_shape, axis, keepdims))
+            xn.accum(_spread(g, xn.shape, axis, keepdims))
 
-        return Tensor._make(out_data, (self,), bw)
+        return Tensor._make(out_data, (xn,), bw)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        in_shape = self.shape
         out_data = self.data.mean(axis=axis, keepdims=keepdims)
         count = self.data.size // max(out_data.size, 1)
+        xn = self._node
 
         def bw(g):
-            self._accum(_spread(g, in_shape, axis, keepdims) / count)
+            xn.accum(_spread(g, xn.shape, axis, keepdims) / count)
 
-        return Tensor._make(out_data, (self,), bw)
+        return Tensor._make(out_data, (xn,), bw)
 
     # -- shape ops -------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        in_shape = self.shape
         out_data = self.data.reshape(shape)
+        xn = self._node
 
         def bw(g):
-            self._accum(g.reshape(in_shape))
+            xn.accum(g.reshape(xn.shape))
 
-        return Tensor._make(out_data, (self,), bw)
+        return Tensor._make(out_data, (xn,), bw)
 
     def transpose(self, axes: Sequence[int]) -> "Tensor":
         axes = tuple(axes)
         inv = tuple(np.argsort(axes))
         out_data = self.data.transpose(axes)
+        xn = self._node
 
         def bw(g):
-            self._accum(g.transpose(inv))
+            xn.accum(g.transpose(inv))
 
-        return Tensor._make(out_data, (self,), bw)
+        return Tensor._make(out_data, (xn,), bw)
 
     def narrow(self, axis: int, start: int, length: int) -> "Tensor":
         idx = [slice(None)] * self.ndim
         idx[axis] = slice(start, start + length)
         idx = tuple(idx)
-        in_shape = self.shape
         out_data = self.data[idx]
+        xn = self._node
 
         def bw(g):
-            full = np.zeros(in_shape, dtype=g.dtype)
+            full = np.zeros(xn.shape, dtype=g.dtype)
             full[idx] = g
-            self._accum(full)
+            xn.accum(full)
 
-        return Tensor._make(out_data, (self,), bw)
+        return Tensor._make(out_data, (xn,), bw)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -431,15 +514,16 @@ def relu(x: Tensor) -> Tensor:
     """max(x, 0). The sign mask is built only when a backward can use it or
     ``record_switches`` is open."""
     out_data = np.maximum(x.data, 0)
-    if not (_grad_enabled and x.requires_grad) and _switch_trace is None:
-        return Tensor._make(out_data, (x,), None)
+    xn = x._node
+    if not (_grad_enabled and xn.requires_grad) and _switch_trace is None:
+        return Tensor._make(out_data, (xn,), None)
     mask = x.data > 0
     _trace(mask)
 
     def bw(g):
-        x._accum(g * mask)
+        xn.accum(g * mask)
 
-    return Tensor._make(out_data, (x,), bw)
+    return Tensor._make(out_data, (xn,), bw)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -448,11 +532,12 @@ def sigmoid(x: Tensor) -> Tensor:
     e = np.exp(-np.abs(d))
     den = 1.0 + e
     out_data = np.where(d >= 0, 1.0 / den, e / den)
+    xn = x._node
 
     def bw(g):
-        x._accum(g * out_data * (1.0 - out_data))
+        xn.accum(g * out_data * (1.0 - out_data))
 
-    return Tensor._make(out_data, (x,), bw)
+    return Tensor._make(out_data, (xn,), bw)
 
 
 def softmax_channel(x: Tensor) -> Tensor:
@@ -463,12 +548,13 @@ def softmax_channel(x: Tensor) -> Tensor:
     shifted = d - d.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=1, keepdims=True)
+    xn = x._node
 
     def bw(g):
         dot = (g * p).sum(axis=1, keepdims=True)
-        x._accum(p * (g - dot))
+        xn.accum(p * (g - dot))
 
-    return Tensor._make(p, (x,), bw)
+    return Tensor._make(p, (xn,), bw)
 
 
 # -- concatenation ---------------------------------------------------------
@@ -483,17 +569,18 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
                     f"concat operand {i} has extent {s1} on axis {a}, expected {s0}"
                 )
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
+    nodes = tuple(t._node for t in tensors)
 
     def bw(g):
         start = 0
-        for t, s in zip(tensors, sizes):
+        for node in nodes:
+            s = node.shape[axis]
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(start, start + s)
-            t._accum(g[tuple(idx)])
+            node.accum(g[tuple(idx)])
             start += s
 
-    return Tensor._make(out_data, tuple(tensors), bw)
+    return Tensor._make(out_data, nodes, bw)
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
@@ -607,24 +694,26 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     else:
         out_data = np.ascontiguousarray(out_view)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    xn, wn = x._node, weight._node
+    bn = None if bias is None else bias._node
+    parents = (xn, wn) if bn is None else (xn, wn, bn)
 
     def bw(g):
-        if bias is not None and bias.requires_grad:
-            bias._accum(g.sum(axis=(0, 2, 3)))
+        if bn is not None and bn.requires_grad:
+            bn.accum(g.sum(axis=(0, 2, 3)))
         if wout == wp:
             g_flat = np.ascontiguousarray(g).reshape(n, cout, span)
         else:
             g_wide = np.zeros((n, cout, hout, wp), dtype=g.dtype)
             g_wide[..., :wout] = g
             g_flat = g_wide.reshape(n, cout, hout * wp)[:, :, :span]
-        if weight.requires_grad:
+        if wn.requires_grad:
             gw = np.empty((kh, kw, cin, cout), dtype=g.dtype)
             g_flat_t = g_flat.transpose(0, 2, 1)
             for i, j, off in taps:
                 np.matmul(x_flat[:, :, off:off + span], g_flat_t).sum(axis=0, out=gw[i, j])
-            weight._accum(gw.transpose(3, 2, 0, 1))
-        if x.requires_grad:
+            wn.accum(gw.transpose(3, 2, 0, 1))
+        if xn.requires_grad:
             gx = np.zeros((n, cin, hp, wp), dtype=g.dtype)
             gx_flat = gx.reshape(n, cin, hp * wp)
             g_tap = np.empty((cin, span), dtype=g.dtype)
@@ -633,7 +722,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                     gx_flat[b, :, off:off + span] += np.matmul(w_taps[i, j].T, g_flat[b], out=g_tap)
             if padding:
                 gx = gx[:, :, padding:padding + h, padding:padding + w]
-            x._accum(gx)
+            xn.accum(gx)
 
     return Tensor._make(out_data, parents, bw)
 
@@ -668,10 +757,9 @@ def maxpool2(x: Tensor) -> Tensor:
     on ties (``-0.0`` against ``0.0`` included), so the operand order below
     keeps the first window element, as ``argmax`` does. The backward
     closure holds no index: it routes each gradient to the first window
-    element equal to the output, from the input and output the graph
-    already keeps. The routing index is built in forward only inside
-    ``record_switches``. For finite inputs only; a NaN window routes to
-    its last element.
+    element equal to the output, from the input and output it saves. The
+    routing index is built in forward only inside ``record_switches``.
+    For finite inputs only; a NaN window routes to its last element.
     """
     if x.ndim != 4:
         raise DimensionError(f"maxpool2 input must be 4D, got shape {x.shape}")
@@ -686,13 +774,15 @@ def maxpool2(x: Tensor) -> Tensor:
             idx[hit] = k
         _trace(idx)
 
+    xn = x._node
+
     def bw(g):
         gx = np.zeros((n, c, h, w), dtype=g.dtype)
         for g_tap, hit in zip(_pool_taps(gx), _pool_routes(taps, out_data)):
             np.copyto(g_tap, g, where=hit)
-        x._accum(gx)
+        xn.accum(gx)
 
-    return Tensor._make(out_data, (x,), bw)
+    return Tensor._make(out_data, (xn,), bw)
 
 
 _lerp_cache: dict = {}
@@ -730,11 +820,12 @@ def upsample_bilinear2(x: Tensor) -> Tensor:
     mh = _lerp_matrix(h, x.dtype)
     mw = _lerp_matrix(w, x.dtype)
     out_data = np.matmul(np.matmul(mh, x.data), mw.T)
+    xn = x._node
 
     def bw(g):
-        x._accum(np.matmul(mh.T, np.matmul(g, mw)))
+        xn.accum(np.matmul(mh.T, np.matmul(g, mw)))
 
-    return Tensor._make(out_data, (x,), bw)
+    return Tensor._make(out_data, (xn,), bw)
 
 
 def directional_avgpool(x: Tensor, axis: str) -> Tensor:
@@ -754,11 +845,12 @@ def directional_avgpool(x: Tensor, axis: str) -> Tensor:
         raise DimensionError(f"directional_avgpool axis must be 'height' or 'width', got {axis!r}")
     extent = x.shape[ax]
     out_data = x.data.sum(axis=ax, keepdims=True) / extent
+    xn = x._node
 
     def bw(g):
-        x._accum(np.broadcast_to(g / extent, x.shape))
+        xn.accum(np.broadcast_to(g / extent, xn.shape))
 
-    return Tensor._make(out_data, (x,), bw)
+    return Tensor._make(out_data, (xn,), bw)
 
 
 # -- batch normalization -------------------------------------------------
@@ -848,6 +940,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: RunningMoments,
     d = x.data
     g_d = gamma.data.reshape(1, c, 1, 1)
     beta_d = beta.data.reshape(1, c, 1, 1)
+    xn, gn, bn = x._node, gamma._node, beta._node
 
     if training:
         m = n * h * w
@@ -868,12 +961,12 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: RunningMoments,
         state.var[:] = (1.0 - momentum) * state.var + momentum * var * unbias
 
         def bw(g):
-            if beta.requires_grad:
-                beta._accum(_channel_sum(g))
+            if bn.requires_grad:
+                bn.accum(_channel_sum(g))
             scratch = np.multiply(g, xhat)
-            if gamma.requires_grad:
-                gamma._accum(_channel_sum(scratch))
-            if x.requires_grad:
+            if gn.requires_grad:
+                gn.accum(_channel_sum(scratch))
+            if xn.requires_grad:
                 dxhat = np.multiply(g, g_d)
                 s1 = (_channel_sum(dxhat) / m).reshape(1, c, 1, 1)
                 np.multiply(dxhat, xhat, out=scratch)
@@ -882,9 +975,9 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: RunningMoments,
                 np.multiply(xhat, s2, out=scratch)
                 dxhat -= scratch
                 dxhat *= ivar
-                x._accum(dxhat)
+                xn.accum(dxhat)
 
-        return Tensor._make(out_data, (x, gamma, beta), bw)
+        return Tensor._make(out_data, (xn, gn, bn), bw)
 
     mean, ivar = _eval_moments(state, d.dtype, eps)
     ivar = ivar.reshape(1, c, 1, 1)
@@ -894,16 +987,16 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: RunningMoments,
     out_data += beta_d
 
     def bw_eval(g):
-        if beta.requires_grad:
-            beta._accum(_channel_sum(g))
-        if gamma.requires_grad:
-            gamma._accum(_channel_sum(g * xhat))
-        if x.requires_grad:
+        if bn.requires_grad:
+            bn.accum(_channel_sum(g))
+        if gn.requires_grad:
+            gn.accum(_channel_sum(g * xhat))
+        if xn.requires_grad:
             gx = np.multiply(g, g_d)
             gx *= ivar
-            x._accum(gx)
+            xn.accum(gx)
 
-    return Tensor._make(out_data, (x, gamma, beta), bw_eval)
+    return Tensor._make(out_data, (xn, gn, bn), bw_eval)
 
 
 # -- tensor container file (TNS1) -------------------------------------------

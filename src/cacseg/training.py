@@ -152,7 +152,7 @@ def _assemble(samples) -> tuple[Tensor, np.ndarray]:
             f"{odd.image.shape[1:]}, {first.slice_id} is {first.image.shape[1:]}"
         )
     images = np.stack([D.preprocess(s) for s in samples])
-    targets = np.stack([s.mask.astype(np.int64) for s in samples])
+    targets = np.stack([s.mask for s in samples]).astype(np.int64, copy=False)
     return Tensor(images), targets
 
 

@@ -156,6 +156,21 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "again.rckp", loaded.state_entries())
         assert (tmp_path / "again.rckp").read_bytes() == first
 
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
+        store = build(TINY, rng_seed=12)
+        path = tmp_path / "model.rckp"
+        save_checkpoint(path, store.state_entries())
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("load_model drew weights")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        loaded, extra = load_model(path, TINY)
+        assert extra == {}
+        assert loaded.names() == store.names()
+        for name, t in store.items():
+            assert loaded.param(name).data.tobytes() == t.data.tobytes(), name
+
     def test_wrong_arch_rejected(self, tmp_path):
         store = build(TINY, rng_seed=11)
         path = tmp_path / "model.rckp"

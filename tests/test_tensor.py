@@ -613,6 +613,41 @@ class TestBackward:
         assert h.grad is None and loss.grad is None
         assert h._parents == () and loss._parents == ()
 
+    def test_unsaved_outputs_freed_before_backward(self):
+        # conv -> BN -> ReLU: the ReLU saves its mask, not its input, so the
+        # BN output is freed once forward drops its tensor.
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.standard_normal((2, 3, 8, 8)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        gamma = Tensor(np.ones(4, np.float32), requires_grad=True)
+        beta = Tensor(np.zeros(4, np.float32), requires_grad=True)
+        y = T.batchnorm2d(T.conv2d(x, w, padding=1), gamma, beta, RunningMoments(4), True)
+        bn_out = weakref.ref(y.data)
+        loss = T.relu(y).sum()
+        del y
+        assert bn_out() is None, "the BN output outlived its tensor"
+        loss.backward()
+        assert all(t.grad is not None for t in (x, w, gamma, beta))
+
+    def test_closures_hold_nodes_not_tensors(self):
+        store = build(ArchConfig(levels=1, base_channels=4), 0)
+        x = Tensor(np.random.default_rng(4).random((2, 1, 8, 8), dtype=np.float32))
+        loss = loss_by_variant(LossConfig())(forward(store, x, training=True),
+                                             np.zeros((2, 8, 8), np.int64))
+        a = t64(np.linspace(0.5, 2.0, 12).reshape(3, 4))
+        extra = T.concat([(-a).exp() - a.sqrt() / a, a.transpose((1, 0)).reshape(3, 4)], axis=0)
+        roots = [loss._node, extra.narrow(0, 1, 2).sum()._node]
+        seen = set()
+        while roots:
+            node = roots.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            for cell in node._backward_fn.__closure__ or ():
+                assert not isinstance(cell.cell_contents, Tensor), node._backward_fn
+            roots.extend(p for p in node._parents if p._backward_fn is not None)
+        assert len(seen) > 50
+
     def test_desk64_step_releases_graph(self):
         # One desk64-shaped training step: L2, base 8, batch 16, 64x64,
         # FocalLogDice with inverse-frequency weights of a sparse mask.
@@ -638,6 +673,7 @@ class TestBackward:
             after, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert start - base <= 75 * mib, f"{(start - base) / mib:.1f} MiB held when backward starts"
         assert after - base <= 4 * mib, f"{(after - base) / mib:.1f} MiB kept after backward"
         assert peak - start <= 8 * mib, f"backward peaked {(peak - start) / mib:.1f} MiB above its start"
         assert activation() is None, "a non-leaf activation outlived backward"
