@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError, DataIOError, LabelError
 from .tensor import load_tns, save_tns, write_atomic
@@ -121,14 +120,101 @@ class AugmentConfig:
             raise ConfigError("noise parameters out of range")
 
 
+def _edge(index: np.ndarray, n: int) -> np.ndarray:
+    """Integer indices clipped to 0..n-1."""
+    index = np.maximum(index, 0)
+    return np.minimum(index, n - 1, out=index)
+
+
+def _sample(img: np.ndarray, rows, cols, order: int) -> np.ndarray:
+    """`img` read at the points (rows, cols), which broadcast to the output
+    shape: `ndimage.map_coordinates` with mode "nearest", bit for bit.
+
+    Order 0 takes pixel floor(c + 0.5). Order 1 sums, from 0.0 and in raster
+    order of the four neighbours, (value * row weight) * column weight in
+    float64, with weights (1 - t, 1 - (1 - t)) for t = c - floor(c).
+    Neighbours past the edge repeat the edge pixel; the coordinates
+    themselves are not clamped.
+    """
+    h, w = img.shape
+    flat = img.ravel()
+    if order == 0:
+        r = _edge(np.floor(rows + 0.5).astype(np.intp), h)
+        c = _edge(np.floor(cols + 0.5).astype(np.intp), w)
+        return flat.take(r * w + c)
+    r0 = np.floor(rows)
+    c0 = np.floor(cols)
+    wr = 1.0 - (rows - r0)
+    wc = 1.0 - (cols - c0)
+    r0 = r0.astype(np.intp)
+    c0 = c0.astype(np.intp)
+    row_terms = ((_edge(r0, h) * w, wr), (_edge(r0 + 1, h) * w, 1.0 - wr))
+    col_terms = ((_edge(c0, w), wc), (_edge(c0 + 1, w), 1.0 - wc))
+    out = 0.0
+    for ri, rwt in row_terms:
+        for ci, cwt in col_terms:
+            out = out + flat.take(ri + ci) * rwt * cwt
+    return out.astype(img.dtype)
+
+
 def _resize_image(img: np.ndarray, out_hw: tuple, order: int) -> np.ndarray:
     """Resample to an exact output size with half-pixel-centered coordinates."""
     h, w = img.shape
     oh, ow = out_hw
     rows = (np.arange(oh) + 0.5) * (h / oh) - 0.5
     cols = (np.arange(ow) + 0.5) * (w / ow) - 0.5
-    grid = np.meshgrid(rows, cols, indexing="ij")
-    return ndimage.map_coordinates(img, grid, order=order, mode="nearest")
+    return _sample(img, rows[:, None], cols[None, :], order)
+
+
+def _rotate(img: np.ndarray, mask: np.ndarray, angle: float) -> tuple:
+    """Image (order 1) and mask (order 0) rotated by `angle` degrees about
+    the centre: `ndimage.rotate` with reshape=False and mode "constant",
+    bit for bit. Output pixel o reads the input at off + m[:, 0] o0 +
+    m[:, 1] o1, with off = centre - m @ centre; a point outside [0, n-1] in
+    either coordinate reads HU_AIR in the image and 0 in the mask."""
+    a = np.deg2rad(angle)
+    c, s = np.cos(a), np.sin(a)
+    m = np.array([[c, s], [-s, c]])
+    centre = (np.asarray(img.shape) - 1) / 2
+    off = centre - m @ centre
+    o0 = np.arange(img.shape[0], dtype=np.float64)[:, None]
+    o1 = np.arange(img.shape[1], dtype=np.float64)[None, :]
+    rows = off[0] + m[0, 0] * o0 + m[0, 1] * o1
+    cols = off[1] + m[1, 0] * o0 + m[1, 1] * o1
+    h, w = img.shape
+    outside = (rows < 0) | (rows > h - 1) | (cols < 0) | (cols > w - 1)
+    img = _sample(img, rows, cols, 1)
+    mask = _sample(mask, rows, cols, 0)
+    img[outside] = HU_AIR
+    mask[outside] = 0
+    return img, mask
+
+
+def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
+    """`ndimage.gaussian_filter(img, sigma)`, bit for bit.
+
+    Weights exp(-x^2 / 2 sigma^2) over x in -r..r, r = int(4 sigma + 0.5),
+    divided by their sum. Each axis in turn reads a float64 line with
+    half-sample mirrored edges and sums x[i] w[r] + (x[i-j] + x[i+j]) w[r-j]
+    for j = r..1, then casts back to the image dtype.
+    """
+    r = int(4.0 * float(sigma) + 0.5)
+    x = np.arange(-r, r + 1)
+    wts = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    wts = wts / wts.sum()
+    out = img
+    for _ in range(2):  # down the columns, then (transposed) along the rows
+        n = out.shape[0]
+        idx = np.arange(-r, n + r) % (2 * n)
+        line = out.astype(np.float64)[np.minimum(idx, 2 * n - 1 - idx)]
+        acc = line[r:r + n] * wts[r]
+        pair = np.empty_like(acc)
+        for j in range(r, 0, -1):
+            np.add(line[r - j:r - j + n], line[r + j:r + j + n], out=pair)
+            pair *= wts[r - j]
+            acc += pair
+        out = acc.astype(img.dtype).T
+    return np.ascontiguousarray(out)
 
 
 def salt_pepper(img: np.ndarray, rng: np.random.Generator, rate: float) -> np.ndarray:
@@ -153,10 +239,7 @@ def augment(sample: SliceSample, rng: np.random.Generator,
     if rng.random() < cfg.prob:  # rotation
         mag = float(rng.choice(cfg.rot_degrees))
         angle = mag if rng.random() < 0.5 else -mag
-        img = ndimage.rotate(img, angle, reshape=False, order=1,
-                             mode="constant", cval=HU_AIR)
-        mask = ndimage.rotate(mask, angle, reshape=False, order=0,
-                              mode="constant", cval=0)
+        img, mask = _rotate(img, mask, angle)
 
     if rng.random() < cfg.prob:  # center crop, resized back to native extent
         side = int(rng.choice(cfg.crop_sides))
@@ -173,7 +256,7 @@ def augment(sample: SliceSample, rng: np.random.Generator,
 
     if rng.random() < cfg.prob:  # Gaussian blur
         sigma = rng.uniform(*cfg.blur_sigma)
-        img = ndimage.gaussian_filter(img, sigma)
+        img = _gaussian_blur(img, sigma)
 
     if rng.random() < cfg.prob:  # Gaussian noise (sigma given in [0,1] units)
         img = img + rng.normal(0.0, cfg.noise_sigma * HU_WINDOW, img.shape)

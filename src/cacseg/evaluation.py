@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .data import (CLASS_NAMES, LESION_CLASSES, NUM_CLASSES, VESSELS, check_labels,
                    hu_normalize)
@@ -34,7 +33,7 @@ AGATSTON_HU_THRESHOLD = 130.0
 _AGATSTON_EDGES = (200.0, 300.0, 400.0)
 MIN_COMPONENT_MM2 = 1.0
 
-_FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=int)
+_IS_LESION = np.isin(np.arange(NUM_CLASSES), LESION_CLASSES)
 
 
 @dataclass
@@ -135,30 +134,78 @@ def _density_weight(peak_hu: float) -> int:
     return w
 
 
+def _label_components(classes: np.ndarray) -> tuple:
+    """4-connected components of equal nonzero values in an (H,W) array.
+
+    Returns (labels, n): `labels` numbers the components 1..n in raster
+    order of each component's first pixel, as `ndimage.label` does, and is
+    0 where `classes` is. Horizontal runs are joined across rows by
+    hooking the larger root under the smaller, then compressing paths.
+    """
+    h, w = classes.shape
+    fg = classes != 0
+    start = fg.copy()
+    start[:, 1:] &= classes[:, 1:] != classes[:, :-1]
+    run = np.cumsum(start.ravel()) - 1             # run of each pixel, raster order
+    # one (below, above) pair per stretch where the same two runs touch
+    touch = fg[1:] & (classes[1:] == classes[:-1])
+    touch[:, 1:] &= ~(touch[:, :-1] & ~start[1:, 1:] & ~start[:-1, 1:])
+    touch = touch.ravel()
+    below, above = run[w:][touch], run[:-w][touch]
+    root = np.arange(run[-1] + 1 if run.size else 0)
+    while True:
+        rb, ra = root[below], root[above]
+        split = rb != ra
+        if not split.any():
+            break
+        np.minimum.at(root, np.maximum(rb, ra)[split], np.minimum(rb, ra)[split])
+        while True:
+            nxt = root[root]
+            if np.array_equal(nxt, root):
+                break
+            root = nxt
+    is_root = root == np.arange(root.size)
+    number = np.cumsum(is_root)[root]              # roots in raster order
+    labels = np.zeros(h * w, dtype=np.int64)
+    flat = fg.ravel()
+    labels[flat] = number[run[flat]]
+    return labels.reshape(h, w), int(is_root.sum())
+
+
 def agatston_per_lesion(mask, hu_image, pixel_area_mm2: float) -> LesionScoreReport:
     """Area-times-density score per vessel.
 
     Connected components (4-connectivity) of each vessel class whose peak
     HU reaches 130 contribute area_mm2 * weight, with the clinical weight
-    bins 1..4. Components below MIN_COMPONENT_MM2 are ignored.
+    bins 1..4. Components below MIN_COMPONENT_MM2 are ignored. Each
+    vessel sums its components in raster order of their first pixel.
     """
     if pixel_area_mm2 <= 0:
         raise ConfigError(f"pixel_area_mm2 must be > 0, got {pixel_area_mm2}")
-    mask = check_labels(mask)
+    mask = check_labels(mask).astype(np.intp, copy=False)
     hu = _hu_plane(hu_image, mask.shape)
+    lesion = np.where(_IS_LESION[mask], mask, 0)
+    rows = np.flatnonzero(lesion.any(axis=1))
+    cols = np.flatnonzero(lesion.any(axis=0))
+    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)) if rows.size else \
+        (slice(0, 0), slice(0, 0))
+    labels, n = _label_components(lesion[box])
+    labels = labels.ravel()
+    area = np.bincount(labels, minlength=n + 1)
+    peak = np.full(n + 1, -np.inf)
+    np.maximum.at(peak, labels, hu[box].astype(np.float64).ravel())
+    comp_class = np.zeros(n + 1, dtype=lesion.dtype)
+    comp_class[labels] = lesion[box].ravel()
     scores = {}
     for cls, name in zip(LESION_CLASSES, VESSELS):
         total = 0.0
-        labeled, n = ndimage.label(mask == cls, structure=_FOUR_CONN)
-        for comp in range(1, n + 1):
-            sel = labeled == comp
-            peak = float(hu[sel].max())
-            if peak < AGATSTON_HU_THRESHOLD:
+        for comp in np.flatnonzero(comp_class == cls):
+            if peak[comp] < AGATSTON_HU_THRESHOLD:
                 continue
-            area = float(sel.sum()) * pixel_area_mm2
-            if area < MIN_COMPONENT_MM2:
+            area_mm2 = float(area[comp]) * pixel_area_mm2
+            if area_mm2 < MIN_COMPONENT_MM2:
                 continue
-            total += area * _density_weight(peak)
+            total += area_mm2 * _density_weight(float(peak[comp]))
         scores[name] = total
     return LesionScoreReport(scores=scores)
 

@@ -2,6 +2,8 @@
 
 import dataclasses
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -523,3 +525,12 @@ class TestCli:
         assert err.startswith("dimension error: a training batch needs one slice size")
         assert main(["train", "--out", str(tmp_path / "b1"), "--set", "train.batch_size=1",
                      *argv]) == 0
+
+
+def test_program_modules_do_not_load_scipy():
+    # scipy is a test-only dependency (pyproject's `test` extra)
+    code = ("import sys, cacseg.cli, cacseg.training, cacseg.evaluation\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

@@ -38,7 +38,8 @@ C synth --config configs/desk64-phantom.cfg --set data.phantom.slices=48 --out "
 C train --config configs/desk64-train.cfg --set train.epochs=2 \
     --set data.train_dir="$O/ph-desk" --set data.val_dir="$O/ph-desk" --out "$O/desk"
 # the other three loss variants, FocalLogDice without attention, and a run
-# with dataclass-backed keys away from their defaults
+# with dataclass-backed keys away from their defaults (the rotation angles
+# and blur radii among them)
 for run in CE Focal FocalDice noca nondefault; do
     case $run in
         noca) sets=(--set arch.ca_enabled=false) ;;
@@ -46,7 +47,9 @@ for run in CE Focal FocalDice noca nondefault; do
                           --set train.restart_period_multiplier=2
                           --set loss.class_weights=0.2,0.6,1.4,1.2,1.3,1.3
                           --set data.augment=true --set data.aug_prob=1.0
-                          --set data.crop_sizes=48,56) ;;
+                          --set data.crop_sizes=48,56
+                          --set data.rot_degrees=7.5,12.5
+                          --set data.blur_sigma=0.3,2.5) ;;
         *) sets=(--set loss.variant=$run) ;;
     esac
     C train --config configs/overfit.cfg --set train.epochs=2 "${sets[@]}" \
