@@ -24,6 +24,7 @@ from .tensor import (
     conv2d,
     directional_avgpool,
     fold_batchnorm,
+    gate,
     relu,
     sigmoid,
 )
@@ -105,7 +106,8 @@ def ca_forward(x: Tensor, store: ParameterStore, prefix: str, cfg: CAConfig,
     Pipeline: pool each spatial axis away, concatenate the two pooled
     maps along the collapsed axis, fuse (1x1 conv, BN, nonlinearity),
     split, per-branch 1x1 conv, sigmoid, then multiply both gates onto
-    the input. Output shape equals input shape.
+    the input, ``x * a_w * a_h`` as one `gate` op. Output shape equals
+    input shape.
 
     `attention_hook`, when given, receives the height gate (N,C,H,1) and
     the width gate (N,C,1,W) after the sigmoid and returns replacements;
@@ -129,4 +131,4 @@ def ca_forward(x: Tensor, store: ParameterStore, prefix: str, cfg: CAConfig,
     a_w = sigmoid(conv2d(part_w, store.param(f"{prefix}.convw.weight")))
     if attention_hook is not None:
         a_h, a_w = attention_hook(a_h, a_w)
-    return x * a_w * a_h
+    return gate(x, a_w, a_h)

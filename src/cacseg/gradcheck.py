@@ -250,6 +250,8 @@ CHECKS: dict[str, Check] = {
                                  readout_offset=24),
     "directional_avgpool_w": _op(23, _POOL_IN, lambda x: T.directional_avgpool(x, "width"),
                                  readout_offset=24),
+    "gate": _op(25, (("x", _normal(2, 3, 4, 5)), ("a", _normal(2, 3, 1, 5)),
+                     ("b", _normal(2, 3, 4, 1))), T.gate),
     "ca_forward": Check(lambda seed: _ca(np.random.default_rng(seed)), NET_TOL),
     "rica_forward": Check(_rica, NET_TOL),
     "loss_weighted_focal": _loss(L.weighted_focal),

@@ -8,10 +8,14 @@ additively across fan-out, so ``y = x + x`` yields ``grad(x) == 2``.
 The recorded graph is made of nodes, not values. Every tensor owns one
 node, which holds its gradient slot, its backward closure, the nodes of
 its inputs and its shape; the tensor itself holds only ``data``. An op's
-closure captures its inputs' nodes plus exactly the arrays its backward
-formula reads (the padded conv input, the normalized BN input, the ReLU
-sign mask, both operands of a product ...), so an op output that no
-closure saved is freed as soon as the forward drops its tensor.
+closure captures its inputs' nodes plus only what its backward cannot
+rebuild cheaply: the padded conv input and the weight, the normalized BN
+input, the ReLU sign mask as packed bits (1 bit per element), the
+max-pool route as two packed bit planes (2 bits per window, no input or
+output), both operands of a product, and for ``gate`` its input and two
+gates, from which backward rebuilds the product of the first two. So an
+op output that no closure saved is freed as soon as the forward drops
+its tensor, and so is an op input that only a relu or max-pool read.
 ``Tensor.backward`` topologically sorts the nodes and visits every op
 exactly once in reverse execution order. It releases the graph as it
 goes: once a node's closure has run, the node drops its gradient, its
@@ -49,6 +53,7 @@ __all__ = [
     "relu",
     "sigmoid",
     "softmax_channel",
+    "gate",
     "conv2d",
     "conv2d_forward_direct",
     "maxpool2",
@@ -512,16 +517,23 @@ def _spread(g: np.ndarray, in_shape: tuple, axis, keepdims: bool) -> np.ndarray:
 
 def relu(x: Tensor) -> Tensor:
     """max(x, 0). The sign mask is built only when a backward can use it or
-    ``record_switches`` is open."""
+    ``record_switches`` is open; the switch record is the bool mask. The
+    closure keeps the mask as ``np.packbits`` bits, one bit per element,
+    and unpacks them in backward."""
     out_data = np.maximum(x.data, 0)
     xn = x._node
-    if not (_grad_enabled and xn.requires_grad) and _switch_trace is None:
+    grad = _grad_enabled and xn.requires_grad
+    if not grad and _switch_trace is None:
         return Tensor._make(out_data, (xn,), None)
     mask = x.data > 0
     _trace(mask)
+    if not grad:
+        return Tensor._make(out_data, (xn,), None)
+    bits = np.packbits(mask, axis=None)
+    shape, size = mask.shape, mask.size
 
     def bw(g):
-        xn.accum(g * mask)
+        xn.accum(g * np.unpackbits(bits, count=size).view(bool).reshape(shape))
 
     return Tensor._make(out_data, (xn,), bw)
 
@@ -555,6 +567,41 @@ def softmax_channel(x: Tensor) -> Tensor:
         xn.accum(p * (g - dot))
 
     return Tensor._make(p, (xn,), bw)
+
+
+def gate(x: Tensor, a: Tensor, b: Tensor) -> Tensor:
+    """``x * a * b``, multiplied in that order, for gates `a` and `b` of
+    the dtype of `x` that broadcast to its shape.
+
+    Output and gradients have the same bytes as the two-product chain
+    ``x * a * b``. The closure saves `x` and the two gates, not the
+    intermediate ``x * a``: backward rebuilds that product, one multiply,
+    to form the gradient of `b` (recompute over store, Chen et al.,
+    arXiv:1604.06174).
+    """
+    if np.broadcast_shapes(x.shape, a.shape, b.shape) != x.shape:
+        raise DimensionError(
+            f"gate shapes {a.shape} and {b.shape} do not broadcast to the input {x.shape}"
+        )
+    x_d, a_d, b_d = x.data, a.data, b.data
+    out_data = x_d * a_d
+    out_data *= b_d
+    xn, an, bn = x._node, a._node, b._node
+
+    def bw(g):
+        if bn.requires_grad:
+            xa = x_d * a_d
+            xa *= g
+            bn.accum(_unbroadcast(xa, bn.shape))
+        if xn.requires_grad or an.requires_grad:
+            g_xa = g * b_d
+            if xn.requires_grad:
+                xn.accum(g_xa * a_d)
+            if an.requires_grad:
+                g_xa *= x_d
+                an.accum(_unbroadcast(g_xa, an.shape))
+
+    return Tensor._make(out_data, (xn, an, bn), bw)
 
 
 # -- concatenation ---------------------------------------------------------
@@ -736,15 +783,15 @@ def _pool_taps(a: np.ndarray) -> tuple:
             a[:, :, 1::2, 0::2], a[:, :, 1::2, 1::2])
 
 
-def _pool_routes(taps: tuple, out: np.ndarray):
-    """One boolean mask per tap, in scan order, marking the windows whose
-    first element equal to `out` is that tap."""
-    free = np.ones(out.shape, dtype=bool)
-    for tap in taps[:3]:
-        hit = free & (tap == out)
-        free ^= hit
-        yield hit
-    yield free
+def _pool_route(taps: tuple, out: np.ndarray) -> np.ndarray:
+    """Per window, the scan-order index (0..3) of the first element equal to
+    `out`, as uint8: the count of leading elements that differ from it."""
+    miss = np.not_equal(taps[0], out)
+    route = miss.astype(np.uint8)
+    for tap in taps[1:3]:
+        miss &= np.not_equal(tap, out)
+        route += miss
+    return route
 
 
 def maxpool2(x: Tensor) -> Tensor:
@@ -755,10 +802,12 @@ def maxpool2(x: Tensor) -> Tensor:
     form: ``argmax`` over each window, ``take_along_axis`` forward and
     ``put_along_axis`` backward. ``np.maximum`` returns its second operand
     on ties (``-0.0`` against ``0.0`` included), so the operand order below
-    keeps the first window element, as ``argmax`` does. The backward
-    closure holds no index: it routes each gradient to the first window
-    element equal to the output, from the input and output it saves. The
-    routing index is built in forward only inside ``record_switches``.
+    keeps the first window element, as ``argmax`` does. The route of a
+    window is the index of its first element equal to the output, the
+    ``argmax``; it is built only when a backward can use it or
+    ``record_switches`` is open, and recorded there as an ``intp`` index.
+    The backward closure keeps neither the input nor the output, only the
+    route as two ``np.packbits`` bit planes, 2 bits per window.
     For finite inputs only; a NaN window routes to its last element.
     """
     if x.ndim != 4:
@@ -768,18 +817,29 @@ def maxpool2(x: Tensor) -> Tensor:
         raise DimensionError(f"maxpool2 requires even H and W, got {h}x{w}")
     taps = _pool_taps(x.data)
     out_data = np.maximum(np.maximum(taps[3], taps[2]), np.maximum(taps[1], taps[0]))
-    if _switch_trace is not None:
-        idx = np.zeros(out_data.shape, dtype=np.intp)
-        for k, hit in enumerate(_pool_routes(taps, out_data)):
-            idx[hit] = k
-        _trace(idx)
-
     xn = x._node
+    grad = _grad_enabled and xn.requires_grad
+    if not grad and _switch_trace is None:
+        return Tensor._make(out_data, (xn,), None)
+    route = _pool_route(taps, out_data)
+    if _switch_trace is not None:
+        _trace(route.astype(np.intp))
+    if not grad:
+        return Tensor._make(out_data, (xn,), None)
+    low = np.packbits(route & 1, axis=None)
+    high = np.packbits(route >> 1, axis=None)
+    shape, size = route.shape, route.size
 
     def bw(g):
-        gx = np.zeros((n, c, h, w), dtype=g.dtype)
-        for g_tap, hit in zip(_pool_taps(gx), _pool_routes(taps, out_data)):
-            np.copyto(g_tap, g, where=hit)
+        route = np.unpackbits(high, count=size).reshape(shape)
+        route <<= 1
+        route |= np.unpackbits(low, count=size).reshape(shape)
+        # Every element of gx is written once, by its tap: the bit pattern
+        # of g where the route picks that tap, else all zero bits (+0.0).
+        gx = np.empty((n, c, h, w), dtype=g.dtype)
+        bits = np.dtype(f"u{g.dtype.itemsize}")
+        for k, g_tap in enumerate(_pool_taps(gx.view(bits))):
+            np.multiply(g.view(bits), route == k, out=g_tap)
         xn.accum(gx)
 
     return Tensor._make(out_data, (xn,), bw)

@@ -6,7 +6,9 @@ import weakref
 import numpy as np
 import pytest
 
+from cacseg import attention
 from cacseg import tensor as T
+from cacseg.attention import CAConfig, ca_forward, init_ca
 from cacseg.errors import (
     ContractError,
     DataIOError,
@@ -17,6 +19,7 @@ from cacseg.errors import (
 from cacseg.gradcheck import check_gradients
 from cacseg.losses import LossConfig, class_weights_from_counts, loss_by_variant
 from cacseg.network import ArchConfig, build, forward
+from cacseg.params import ParameterStore
 from cacseg.tensor import RunningMoments, Tensor
 
 
@@ -124,6 +127,27 @@ def relu_plain(x, g):
     """Reference relu: (out, dx, sign mask)."""
     mask = x > 0
     return np.maximum(x, 0), g * mask, mask
+
+
+def two_products(x, a, b):
+    """Reference gate: the chain of two Tensor products."""
+    return x * a * b
+
+
+def plant_zeros(arr):
+    """`arr` with -0.0 at every 5th element and 0.0 after each."""
+    arr = arr.copy()
+    arr.flat[::5] = -0.0
+    arr.flat[1::5] = 0.0
+    return arr
+
+
+def gate_grads(op, x, a, b, g):
+    """Output and the gradients of x, a and b of `op(x, a, b)`, fed `g`."""
+    xs = [Tensor(v, requires_grad=True, check=False) for v in (x, a, b)]
+    y = op(*xs)
+    (y * Tensor(g, check=False)).sum().backward()
+    return [y.data] + [t.grad for t in xs]
 
 
 # Shapes of the kernel-rewrite byte tests: the smallest, an odd shape, and
@@ -448,8 +472,8 @@ class TestMaxPool:
             f"forward retains {retained / 2 ** 20:.2f} MiB for a {y.data.nbytes / 2 ** 20:.2f} MiB output"
 
 class TestKernelRewrites:
-    """Upsample, sigmoid, directional pool and relu give the bytes of the
-    plain forms above, forward and backward."""
+    """Upsample, sigmoid, directional pool, relu and gate give the bytes of
+    the plain forms above, forward and backward."""
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("shape", UPSAMPLE_SHAPES, ids=str)
@@ -529,6 +553,64 @@ class TestKernelRewrites:
         assert not y.requires_grad and y._backward_fn is None and y._parents == ()
         y = T.relu(Tensor(np.ones((2, 2), np.float32)))
         assert not y.requires_grad and y._backward_fn is None
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", ACT_SHAPES, ids=str)
+    def test_gate_matches_two_products(self, shape, dtype):
+        n, c, h, w = shape
+        rng = np.random.default_rng(33)
+        x, a, b, g = (plant_zeros(rng.standard_normal(s).astype(dtype))
+                      for s in (shape, (n, c, 1, w), (n, c, h, 1), shape))
+        got = gate_grads(T.gate, x, a, b, g)
+        want = gate_grads(two_products, x, a, b, g)
+        for name, u, v in zip(("out", "dx", "da", "db"), got, want):
+            assert u.dtype == dtype and u.shape == v.shape, name
+            assert u.tobytes() == v.tobytes(), name
+        assert np.signbit(got[0]).any() and (got[0] == 0).any()
+
+    def test_gate_rejects_a_gate_wider_than_its_input(self):
+        x = Tensor(np.ones((1, 2, 3, 1), np.float32))
+        with pytest.raises(DimensionError, match="gate shapes"):
+            T.gate(x, Tensor(np.ones((1, 2, 1, 4), np.float32)),
+                   Tensor(np.ones((1, 2, 3, 1), np.float32)))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_attention_gate_matches_two_products(self, dtype, monkeypatch):
+        # ca_forward with its gates zeroed in places (-0.0 and 0.0) by the
+        # hook, once through gate and once through the two-product chain.
+        cfg = CAConfig(reduction_ratio=4, min_mid_channels=2)
+        rng = np.random.default_rng(34)
+        x = plant_zeros(rng.standard_normal((2, 8, 6, 10)).astype(dtype))
+        r = rng.standard_normal(x.shape).astype(dtype)
+
+        def planted(t):
+            signs = plant_zeros(np.ones(t.shape, dtype))
+            return t * Tensor(signs, check=False)
+
+        def run():
+            store = ParameterStore()
+            init_ca(store, "ca", 8, cfg, np.random.default_rng(35))
+            if dtype == np.float64:
+                store = store.to_double()
+            xt = Tensor(x, requires_grad=True, check=False)
+            y = ca_forward(xt, store, "ca", cfg, training=True,
+                           attention_hook=lambda a_h, a_w: (planted(a_h), planted(a_w)))
+            (y * Tensor(r, check=False)).sum().backward()
+            return [y.data, xt.grad] + [t.grad for _, t in store.items()]
+
+        chained = []
+
+        def chain(x, a, b):
+            chained.append(x.shape)
+            return two_products(x, a, b)
+
+        got = run()
+        monkeypatch.setattr(attention, "gate", chain)
+        want = run()
+        assert chained == [x.shape] and len(got) == len(want) > 2
+        for u, v in zip(got, want):
+            assert u.dtype == dtype and u.tobytes() == v.tobytes()
+        assert np.signbit(got[0]).any()
 
 
 class TestResampling:
@@ -678,6 +760,46 @@ class TestBackward:
         assert peak - start <= 8 * mib, f"backward peaked {(peak - start) / mib:.1f} MiB above its start"
         assert activation() is None, "a non-leaf activation outlived backward"
         assert all(t.grad is not None for _, t in store.items())
+
+    def test_desk64_step_saved_state(self):
+        # The step of test_desk64_step_releases_graph. Relu keeps its mask
+        # as bits and max-pool its route as 2-bit codes, neither keeps a
+        # bool or float array, and the attention gates keep no product.
+        rng = np.random.default_rng(5)
+        store = build(ArchConfig(levels=2, base_channels=8), 0)
+        x = Tensor(rng.standard_normal((16, 1, 64, 64)).astype(np.float32))
+        target = np.zeros((16, 64, 64), np.int64)
+        for i in range(16):
+            r, c = rng.integers(4, 56, size=2)
+            target[i, r:r + 6, c:c + 6] = 1 + i % 4
+        counts = np.bincount(target.ravel(), minlength=6)
+        loss_fn = loss_by_variant(LossConfig(class_weights=class_weights_from_counts(counts)))
+        mib = 2 ** 20
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = loss_fn(forward(store, x, training=True), target)
+            start = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert start - base <= 56 * mib, f"{(start - base) / mib:.1f} MiB held when backward starts"
+        switching = {"relu": 0, "maxpool2": 0}
+        nodes, seen = [loss._node], set()
+        while nodes:
+            node = nodes.pop()
+            if id(node) in seen or node._backward_fn is None:
+                continue
+            seen.add(id(node))
+            op = node._backward_fn.__qualname__.split(".")[0]
+            if op in switching:
+                switching[op] += 1
+                for cell in node._backward_fn.__closure__:
+                    held = cell.cell_contents
+                    for arr in held if isinstance(held, (tuple, list)) else (held,):
+                        assert not (isinstance(arr, np.ndarray) and arr.dtype.kind in "bf"), \
+                            f"a {op} closure holds a {arr.dtype} array of shape {arr.shape}"
+            nodes.extend(node._parents)
+        assert switching == {"relu": 15, "maxpool2": 2}
 
 
 class TestDeterminism:
