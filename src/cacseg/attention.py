@@ -76,7 +76,7 @@ def conv_bn(x: Tensor, store: ParameterStore, weight: str, bn: str, training: bo
     gamma, beta = store.param(f"{bn}.gamma"), store.param(f"{bn}.beta")
     state = store.moments(bn)
     if training:
-        return batchnorm2d(conv2d(x, w, padding=padding), gamma, beta, state, True)
+        return batchnorm2d(conv2d(x, w, padding=padding), gamma, beta, state)
     return conv2d(x, *fold_batchnorm(w, gamma, beta, state), padding=padding)
 
 

@@ -127,32 +127,23 @@ def _uniform(lo, hi, *shape):
     return lambda rng: rng.uniform(lo, hi, shape)
 
 
-def _running_moments(rng) -> T.RunningMoments:
-    state = T.RunningMoments(3, dtype=np.float64)
-    state.mean[:] = rng.standard_normal(3)
-    state.var[:] = rng.uniform(0.5, 2.0, 3)
-    return state
-
-
-def _op(offset: int, leaves: tuple, op: Callable[..., Tensor], fixed: tuple = (),
+def _op(offset: int, leaves: tuple, op: Callable[..., Tensor],
         readout_offset: Optional[int] = None) -> Check:
     """An op check on draws from `default_rng(seed + offset)`.
 
     The `leaves` (name, draw) pairs are drawn first, in order, and are
-    differentiated; `fixed` pairs are drawn next and are not. The readout
-    weights come last, shaped like the op's output, from the same stream
-    or, when `readout_offset` is set, from `default_rng(seed +
-    readout_offset)`.
+    differentiated. The readout weights come last, shaped like the op's
+    output, from the same stream or, when `readout_offset` is set, from
+    `default_rng(seed + readout_offset)`.
     """
     def setup(seed):
         rng = np.random.default_rng(seed + offset)
         xs = {k: Tensor(draw(rng), requires_grad=True) for k, draw in leaves}
-        consts = {k: draw(rng) for k, draw in fixed}
-        out_shape = op(**xs, **consts).shape
+        out_shape = op(**xs).shape
         if readout_offset is not None:
             rng = np.random.default_rng(seed + readout_offset)
         r = Tensor(rng.standard_normal(out_shape))
-        return lambda: (op(**xs, **consts) * r).sum(), xs
+        return lambda: (op(**xs) * r).sum(), xs
     return Check(setup)
 
 
@@ -240,10 +231,7 @@ CHECKS: dict[str, Check] = {
     "conv2d": _op(17, _CONV, lambda input, weight, bias:
                   T.conv2d(input, weight, bias, padding=1)),
     "batchnorm2d_train": _op(19, _BN, lambda input, gamma, beta: T.batchnorm2d(
-        input, gamma, beta, T.RunningMoments(3, dtype=np.float64), True)),
-    "batchnorm2d_eval": _op(20, _BN, lambda input, gamma, beta, state:
-                            T.batchnorm2d(input, gamma, beta, state, False),
-                            fixed=(("state", _running_moments),)),
+        input, gamma, beta, T.RunningMoments(3, dtype=np.float64))),
     "maxpool2": _op(21, (("x", _normal(1, 2, 8, 8)),), T.maxpool2),
     "upsample_bilinear2": _op(22, _POOL_IN, T.upsample_bilinear2),
     "directional_avgpool_h": _op(23, _POOL_IN, lambda x: T.directional_avgpool(x, "height"),

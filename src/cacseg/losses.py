@@ -122,16 +122,6 @@ def _combo(logits: Tensor, target: np.ndarray, cfg: LossConfig, focal: bool,
     return _focal(hit, target, cfg) * cfg.w_focal + dice * cfg.w_dice if focal else dice
 
 
-def soft_dice_per_class(probs: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
-    """Per-class soft Dice over the whole batch; shape (NUM_CLASSES,).
-
-    An empty class (no probability mass and no target pixels) smooths to
-    eps/eps = 1 and therefore contributes no loss.
-    """
-    onehot = _onehot(target, probs.dtype.type)
-    return _soft_dice(probs, onehot, probs * onehot, cfg.smooth_eps)
-
-
 def weighted_focal(logits: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
     """Mean over pixels of -alpha_c * (1 - p_c)^gamma * ln(p_c)."""
     return _combo(logits, target, cfg, focal=True, dice_term=None)

@@ -159,13 +159,12 @@ class Tensor:
 
     __slots__ = ("_data", "_node")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None, check: bool = True):
+    def __init__(self, data, requires_grad: bool = False, check: bool = True):
         if isinstance(data, Tensor):
             data = data.data
-        preserve = (dtype is None and isinstance(data, np.ndarray)
-                    and data.dtype in (np.float32, np.float64))
-        arr = np.asarray(data, dtype=dtype)
-        if not preserve and dtype is None and arr.dtype != np.float32:
+        arr = np.asarray(data)
+        if not (arr.dtype == np.float32
+                or isinstance(data, np.ndarray) and arr.dtype == np.float64):
             arr = arr.astype(np.float32)
         if check and not np.isfinite(arr).all():
             raise NumericError("tensor construction received non-finite values")
@@ -685,9 +684,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     ``W[:, :, i, j] @ slice``, accumulated into an output of row pitch Wp
     whose last Wp - Wout columns per row are junk and dropped. Backward
     uses the same slices: grad-w of a tap is ``g @ slice.T`` summed over
-    the batch, and grad-x adds ``W[:, :, i, j].T @ g`` into the slice of a
-    zeroed padded buffer. No column buffer is built; the backward closure
-    holds the padded input and the weight only.
+    the batch, and grad-x adds ``W[:, :, i, j].T @ g`` into the slice of
+    one image's zeroed padded buffer, whose interior is then copied into
+    grad-x (without padding, the buffer is the image's slot of grad-x).
+    No column buffer is built; the backward closure holds the padded input
+    and the weight only.
 
     The taps of one image run back to back, so its accumulator stays in
     cache, and an image's output does not depend on the batch it came in.
@@ -761,14 +762,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                 np.matmul(x_flat[:, :, off:off + span], g_flat_t).sum(axis=0, out=gw[i, j])
             wn.accum(gw.transpose(3, 2, 0, 1))
         if xn.requires_grad:
-            gx = np.zeros((n, cin, hp, wp), dtype=g.dtype)
-            gx_flat = gx.reshape(n, cin, hp * wp)
+            # grad-x owns its memory, so accum keeps it without a copy
+            gx = np.zeros((n, cin, h, w), dtype=g.dtype)
+            pad = np.empty((cin, hp, wp), dtype=g.dtype) if padding else None
             g_tap = np.empty((cin, span), dtype=g.dtype)
             for b in range(n):
+                if padding:
+                    pad.fill(0)
+                acc = (pad if padding else gx[b]).reshape(cin, hp * wp)
                 for i, j, off in taps:
-                    gx_flat[b, :, off:off + span] += np.matmul(w_taps[i, j].T, g_flat[b], out=g_tap)
-            if padding:
-                gx = gx[:, :, padding:padding + h, padding:padding + w]
+                    acc[:, off:off + span] += np.matmul(w_taps[i, j].T, g_flat[b], out=g_tap)
+                if padding:
+                    gx[b] = pad[:, padding:padding + h, padding:padding + w]
             xn.accum(gx)
 
     return Tensor._make(out_data, parents, bw)
@@ -938,54 +943,43 @@ class RunningMoments:
         return m
 
 
-def _channel_sum(a: np.ndarray) -> np.ndarray:
-    """Per-channel sum of an N,C,H,W array over N, H and W.
-
-    Bit for bit equal to ``a.sum(axis=(0, 2, 3))``, and divided by N*H*W to
-    numpy's ``mean`` and ``var`` over those axes: both reduce each
-    contiguous H*W row pairwise, then add the rows of the batch in order.
-    ``tests/test_tensor.py`` checks this on the shapes the nets use.
-    """
-    n, c = a.shape[:2]
-    return a.reshape(n, c, -1).sum(axis=2).sum(axis=0)
-
-
-def _eval_moments(state: RunningMoments, dtype, eps: float) -> tuple:
-    """The stored mean and ``1 / sqrt(var + eps)`` in `dtype`, as eval-mode
-    batch norm applies them."""
-    return state.mean.astype(dtype), (1.0 / np.sqrt(state.var + eps)).astype(dtype)
-
-
 def fold_batchnorm(weight: Tensor, gamma: Tensor, beta: Tensor, state: RunningMoments,
                    eps: float = 1e-5) -> tuple[Tensor, Tensor]:
     """Weight and bias of the one conv that computes conv -> eval-mode BN.
 
-    With ``scale = gamma * ivar`` (``ivar`` as eval-mode ``batchnorm2d``
-    computes it), ``w' = w * scale`` per output channel and
+    With ``scale = gamma * ivar``, where ``ivar = 1 / sqrt(var + eps)`` is
+    formed from the stored variance in its own dtype and then cast to the
+    weight's, ``w' = w * scale`` per output channel and
     ``b' = beta - mean * scale`` (Jacob et al., arXiv:1712.05877 §3.2).
     The product is rounded in another order than the unfused pair, so the
     conv output agrees with it to a tolerance, not to the byte. Built from
     Tensor ops, so gradients reach `weight`, `gamma` and `beta`.
     """
-    mean, ivar = _eval_moments(state, weight.dtype, eps)
-    scale = gamma * Tensor(ivar, check=False)
+    mean = Tensor(state.mean.astype(weight.dtype), check=False)
+    ivar = Tensor((1.0 / np.sqrt(state.var + eps)).astype(weight.dtype), check=False)
+    scale = gamma * ivar
     w = weight * scale.reshape(-1, 1, 1, 1)
-    b = beta - Tensor(mean, check=False) * scale
+    b = beta - mean * scale
     return w, b
 
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: RunningMoments,
-                training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
-    """Per-channel normalization with affine transform.
+                momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+    """Per-channel normalization with batch statistics and an affine
+    transform; updates `state` by EMA (variance stored unbiased).
 
-    Training mode normalizes with batch statistics and updates `state` by
-    EMA (variance stored unbiased); eval mode uses the stored moments.
+    This is the training-mode op only. Eval mode never normalizes an
+    activation: `fold_batchnorm` folds the stored moments and the affine
+    into the preceding conv.
 
     Every output, gradient and running moment has the same bytes as the
     plain form ``xhat = (x - mean) * ivar``, ``out = gamma * xhat + beta``
     with numpy's ``mean``/``var`` over (N, H, W), and backward
     ``ivar * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))``: the same
-    operations run in the same order, in place in fresh buffers. A forward
+    operations run in the same order, in place in fresh buffers. Each
+    mean is numpy's channel sum ``a.sum(axis=(0, 2, 3))`` divided by
+    N*H*W, which is bit for bit numpy's ``mean`` and ``var`` (checked in
+    ``tests/test_tensor.py`` on the shapes the nets use). A forward
     allocates two activation-sized arrays, ``xhat`` and the output, and the
     backward closure holds ``xhat`` only; a backward allocates two more.
     Nothing is written in place into ``x.data`` or the incoming gradient.
@@ -997,66 +991,43 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: RunningMoments,
         raise DimensionError(
             f"batchnorm2d affine params must have shape ({c},), got {gamma.shape} and {beta.shape}"
         )
+    m = n * h * w
+    if m < 2:
+        raise DegenerateBatchError(f"batch statistics need N*H*W >= 2, got {m}")
     d = x.data
     g_d = gamma.data.reshape(1, c, 1, 1)
-    beta_d = beta.data.reshape(1, c, 1, 1)
     xn, gn, bn = x._node, gamma._node, beta._node
-
-    if training:
-        m = n * h * w
-        if m < 2:
-            raise DegenerateBatchError(
-                f"batch statistics need N*H*W >= 2, got {m}"
-            )
-        mean = _channel_sum(d) / m
-        xhat = d - mean.reshape(1, c, 1, 1)
-        out_data = np.multiply(xhat, xhat)
-        var = _channel_sum(out_data) / m
-        ivar = (1.0 / np.sqrt(var + eps)).reshape(1, c, 1, 1)
-        xhat *= ivar
-        np.multiply(g_d, xhat, out=out_data)
-        out_data += beta_d
-        state.mean[:] = (1.0 - momentum) * state.mean + momentum * mean
-        unbias = m / (m - 1)
-        state.var[:] = (1.0 - momentum) * state.var + momentum * var * unbias
-
-        def bw(g):
-            if bn.requires_grad:
-                bn.accum(_channel_sum(g))
-            scratch = np.multiply(g, xhat)
-            if gn.requires_grad:
-                gn.accum(_channel_sum(scratch))
-            if xn.requires_grad:
-                dxhat = np.multiply(g, g_d)
-                s1 = (_channel_sum(dxhat) / m).reshape(1, c, 1, 1)
-                np.multiply(dxhat, xhat, out=scratch)
-                s2 = (_channel_sum(scratch) / m).reshape(1, c, 1, 1)
-                dxhat -= s1
-                np.multiply(xhat, s2, out=scratch)
-                dxhat -= scratch
-                dxhat *= ivar
-                xn.accum(dxhat)
-
-        return Tensor._make(out_data, (xn, gn, bn), bw)
-
-    mean, ivar = _eval_moments(state, d.dtype, eps)
-    ivar = ivar.reshape(1, c, 1, 1)
+    axes = (0, 2, 3)
+    mean = d.sum(axis=axes) / m
     xhat = d - mean.reshape(1, c, 1, 1)
+    out_data = np.multiply(xhat, xhat)
+    var = out_data.sum(axis=axes) / m
+    ivar = (1.0 / np.sqrt(var + eps)).reshape(1, c, 1, 1)
     xhat *= ivar
-    out_data = np.multiply(g_d, xhat)
-    out_data += beta_d
+    np.multiply(g_d, xhat, out=out_data)
+    out_data += beta.data.reshape(1, c, 1, 1)
+    state.mean[:] = (1.0 - momentum) * state.mean + momentum * mean
+    unbias = m / (m - 1)
+    state.var[:] = (1.0 - momentum) * state.var + momentum * var * unbias
 
-    def bw_eval(g):
+    def bw(g):
         if bn.requires_grad:
-            bn.accum(_channel_sum(g))
+            bn.accum(g.sum(axis=axes))
+        scratch = np.multiply(g, xhat)
         if gn.requires_grad:
-            gn.accum(_channel_sum(g * xhat))
+            gn.accum(scratch.sum(axis=axes))
         if xn.requires_grad:
-            gx = np.multiply(g, g_d)
-            gx *= ivar
-            xn.accum(gx)
+            dxhat = np.multiply(g, g_d)
+            s1 = (dxhat.sum(axis=axes) / m).reshape(1, c, 1, 1)
+            np.multiply(dxhat, xhat, out=scratch)
+            s2 = (scratch.sum(axis=axes) / m).reshape(1, c, 1, 1)
+            dxhat -= s1
+            np.multiply(xhat, s2, out=scratch)
+            dxhat -= scratch
+            dxhat *= ivar
+            xn.accum(dxhat)
 
-    return Tensor._make(out_data, (xn, gn, bn), bw_eval)
+    return Tensor._make(out_data, (xn, gn, bn), bw)
 
 
 # -- tensor container file (TNS1) -------------------------------------------

@@ -103,6 +103,13 @@ class TestFocalWeighting:
             assert res.passed, res.row()
 
 
+def soft_dice(probs: Tensor, target: np.ndarray, cfg: L.LossConfig) -> Tensor:
+    """Per-class soft Dice over the batch, shape (NUM_CLASSES,), as the Dice
+    losses form it."""
+    onehot = L._onehot(target, probs.dtype.type)
+    return L._soft_dice(probs, onehot, probs * onehot, cfg.smooth_eps)
+
+
 class TestExpLogDice:
     def test_perfect_prediction_below_1e6(self):
         target = np.tile(np.arange(6, dtype=np.int64).reshape(1, 6, 1), (1, 1, 4))
@@ -114,7 +121,7 @@ class TestExpLogDice:
         probs = np.zeros((1, 6, 2, 2), np.float64)
         probs[:, 0] = 1.0
         target = np.zeros((1, 2, 2), np.int64)
-        dice = L.soft_dice_per_class(Tensor(probs), target, L.LossConfig())
+        dice = soft_dice(Tensor(probs), target, L.LossConfig())
         np.testing.assert_allclose(dice.data[1:], 1.0)
         term = (-np.log(dice.data)) ** 0.3
         np.testing.assert_allclose(term[1:], 0.0)
@@ -125,16 +132,14 @@ class TestExpLogDice:
         logits = np.broadcast_to(logits.reshape(1, 6, 1, 1), (1, 6, 2, 2)).copy()
         target = np.zeros((1, 2, 2), np.int64)
         cfg = L.LossConfig()
-        dice = L.soft_dice_per_class(Tensor(logits).exp() /
-                                     Tensor(logits).exp().sum(axis=1, keepdims=True),
-                                     target, cfg)
+        dice = soft_dice(Tensor(logits).exp() / Tensor(logits).exp().sum(axis=1, keepdims=True),
+                         target, cfg)
         eps = cfg.smooth_eps
         expected = (2 * 0.5 * 4 + eps) / (0.5 * 4 + 4 + eps)
         assert abs(dice.data[0] - expected) < 1e-9
         assert abs(expected - 2.0 / 3.0) < 1e-5
         loss = L.exp_log_dice(Tensor(logits), target, cfg)
-        per_class = L.soft_dice_per_class(
-            Tensor(softmax_np(logits)), target, cfg).data
+        per_class = soft_dice(Tensor(softmax_np(logits)), target, cfg).data
         oracle = float(np.mean((-np.log(per_class)) ** cfg.dice_gamma))
         assert abs(loss.item() - oracle) < 1e-9
 

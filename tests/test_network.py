@@ -8,6 +8,7 @@ from cacseg.errors import ConfigError, DataIOError, DimensionError
 from cacseg.network import ArchConfig, build, forward, load_model
 from cacseg.params import save_checkpoint
 from cacseg.tensor import Tensor, batchnorm2d, conv2d, softmax_channel
+from plain_forms import batchnorm2d_plain
 
 TINY = ArchConfig(levels=2, base_channels=4)
 
@@ -189,10 +190,15 @@ class TestCheckpoint:
 
 
 def conv_bn_unfused(x, store, weight, bn, training, padding=0):
-    """The conv -> batch-norm pair as two ops, the form eval mode folds."""
-    return batchnorm2d(conv2d(x, store.param(weight), padding=padding),
-                       store.param(f"{bn}.gamma"), store.param(f"{bn}.beta"),
-                       store.moments(bn), training)
+    """The conv -> batch-norm pair as two ops, the form eval mode folds: the
+    program's batch norm in training mode, the plain form's stored-moment
+    batch norm (no graph) in eval mode."""
+    y = conv2d(x, store.param(weight), padding=padding)
+    gamma, beta = store.param(f"{bn}.gamma"), store.param(f"{bn}.beta")
+    if training:
+        return batchnorm2d(y, gamma, beta, store.moments(bn))
+    return Tensor(batchnorm2d_plain(y.data, gamma.data, beta.data, store.moments(bn), False,
+                                    np.zeros_like(y.data))[0])
 
 
 def fold_tolerance(y: np.ndarray) -> float:
@@ -272,7 +278,13 @@ class TestFoldedBatchNorm:
                                         store.param(f"{bn}.beta"))]
         x.grad = None
         store.zero_grads()
-        conv_bn_unfused(x, store, weight, bn, False, 1).sum().backward()
-        want = [x.grad, w.grad, store.param(f"{bn}.gamma").grad, store.param(f"{bn}.beta").grad]
+        # d(sum)/d(out) is all ones: the plain form's eval-mode gradients,
+        # then the program conv's backward from its dx
+        y = conv2d(x, w, padding=1)
+        _, dy, dgamma, dbeta = batchnorm2d_plain(
+            y.data, store.param(f"{bn}.gamma").data, store.param(f"{bn}.beta").data,
+            store.moments(bn), False, np.ones_like(y.data))
+        y._backward_fn(dy)
+        want = [x.grad, w.grad, dgamma, dbeta]
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=0, atol=fold_tolerance(b))

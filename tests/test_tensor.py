@@ -21,6 +21,7 @@ from cacseg.losses import LossConfig, class_weights_from_counts, loss_by_variant
 from cacseg.network import ArchConfig, build, forward
 from cacseg.params import ParameterStore
 from cacseg.tensor import RunningMoments, Tensor
+from plain_forms import batchnorm2d_plain
 
 
 def t64(arr, requires_grad=True):
@@ -44,7 +45,7 @@ SHAPE_CASES = ["cin1", "attention-1x1", "5x3-pad2", "odd-width"]
 
 
 # Shapes of the reference-form batchnorm tests: desk64 enc0, deep128 enc0
-# (H*W above numpy's 8192-element buffer), a batch-1 eval slice, the
+# (H*W above numpy's 8192-element buffer), a batch-1 slice, the
 # deep128 bottleneck, an odd shape, and the float64 gradient-check path.
 BN_SHAPES = [
     pytest.param((16, 8, 56, 56), np.float32, id="desk"),
@@ -54,33 +55,6 @@ BN_SHAPES = [
     pytest.param((2, 3, 5, 7), np.float32, id="odd"),
     pytest.param((2, 3, 5, 7), np.float64, id="odd-f64"),
 ]
-
-
-def batchnorm2d_plain(x, gamma, beta, state, training, g, momentum=0.1, eps=1e-5):
-    """Reference batchnorm in the plain form: (out, dx, dgamma, dbeta).
-
-    Updates `state` in training mode, as `batchnorm2d` does.
-    """
-    n, c, h, w = x.shape
-    g_d = gamma.reshape(1, c, 1, 1)
-    if training:
-        m = n * h * w
-        mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
-        ivar = 1.0 / np.sqrt(var + eps)
-        xhat = (x - mean.reshape(1, c, 1, 1)) * ivar.reshape(1, c, 1, 1)
-        state.mean[:] = (1.0 - momentum) * state.mean + momentum * mean
-        state.var[:] = (1.0 - momentum) * state.var + momentum * var * (m / (m - 1))
-        dxhat = g * g_d
-        s1 = dxhat.mean(axis=(0, 2, 3), keepdims=True)
-        s2 = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
-        dx = ivar.reshape(1, c, 1, 1) * (dxhat - s1 - xhat * s2)
-    else:
-        ivar = (1.0 / np.sqrt(state.var + eps)).astype(x.dtype).reshape(1, c, 1, 1)
-        xhat = (x - state.mean.astype(x.dtype).reshape(1, c, 1, 1)) * ivar
-        dx = g * g_d * ivar
-    out = g_d * xhat + beta.reshape(1, c, 1, 1)
-    return out, dx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
 
 
 def maxpool2_plain(x, g):
@@ -232,9 +206,17 @@ class TestConv2d:
     def test_padding_matches_np_pad(self, case):
         x, w, b, padding = conv_operands(case, np.random.default_rng(13))
         xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        padded = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding).data
-        unpadded = T.conv2d(Tensor(xp), Tensor(w), Tensor(b), 0).data
-        assert padded.tobytes() == unpadded.tobytes()
+        xt, xpt = Tensor(x, requires_grad=True), Tensor(xp, requires_grad=True)
+        wt, wpt = Tensor(w, requires_grad=True), Tensor(w, requires_grad=True)
+        padded = T.conv2d(xt, wt, Tensor(b), padding)
+        unpadded = T.conv2d(xpt, wpt, Tensor(b), 0)
+        assert padded.data.tobytes() == unpadded.data.tobytes()
+        g = np.random.default_rng(14).standard_normal(padded.shape).astype(x.dtype)
+        padded._backward_fn(g)
+        unpadded._backward_fn(g)
+        inner = xpt.grad[:, :, padding:-padding, padding:-padding]
+        assert xt.grad.tobytes() == np.ascontiguousarray(inner).tobytes()
+        assert wt.grad.tobytes() == wpt.grad.tobytes()
 
     @pytest.mark.parametrize("case", SHAPE_CASES)
     def test_shapes_match_finite_differences(self, case):
@@ -283,6 +265,26 @@ class TestConv2d:
         assert backward_peak <= 4 * x.data.nbytes, \
             f"backward peaks {backward_peak / mib:.1f} MiB above that"
 
+    def test_backward_peaks_below_two_grad_x(self):
+        # grad-x is 1 MiB; the padded scratch is one image, not the batch.
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.standard_normal((8, 8, 64, 64)).astype(np.float32),
+                   requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 8, 3, 3)).astype(np.float32),
+                   requires_grad=True)
+        g = rng.standard_normal((8, 4, 64, 64)).astype(np.float32)
+        y = T.conv2d(x, w, padding=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            y._backward_fn(g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * x.data.nbytes, \
+            f"backward peaks at {peak / x.data.nbytes:.2f}x the grad-x bytes"
+
     def test_channel_mismatch_names_operand(self):
         x = Tensor(np.zeros((1, 3, 4, 4), np.float32))
         w = Tensor(np.zeros((2, 4, 3, 3), np.float32))
@@ -302,7 +304,7 @@ class TestBatchNorm:
         x = Tensor((rng.standard_normal((4, 3, 6, 6)) * 3 + 5).astype(np.float32))
         gamma = Tensor(np.ones(3, np.float32))
         beta = Tensor(np.zeros(3, np.float32))
-        y = T.batchnorm2d(x, gamma, beta, RunningMoments(3), training=True)
+        y = T.batchnorm2d(x, gamma, beta, RunningMoments(3))
         mean = y.data.mean(axis=(0, 2, 3))
         var = y.data.var(axis=(0, 2, 3))
         np.testing.assert_allclose(mean, 0.0, atol=1e-5)
@@ -313,27 +315,16 @@ class TestBatchNorm:
         x = Tensor(rng.standard_normal((2, 3, 4, 4)).astype(np.float32))
         gamma = Tensor(np.zeros(3, np.float32))
         beta = Tensor(np.array([1.0, -2.0, 0.5], np.float32))
-        y = T.batchnorm2d(x, gamma, beta, RunningMoments(3), training=True)
+        y = T.batchnorm2d(x, gamma, beta, RunningMoments(3))
         expected = np.broadcast_to(beta.data.reshape(1, 3, 1, 1), y.shape)
         np.testing.assert_array_equal(y.data, expected)
-
-    def test_eval_uses_running_moments(self):
-        state = RunningMoments(2)
-        state.mean[:] = [1.0, -1.0]
-        state.var[:] = [4.0, 0.25]
-        x = Tensor(np.ones((1, 2, 2, 2), np.float32))
-        y = T.batchnorm2d(x, Tensor(np.ones(2, np.float32)),
-                          Tensor(np.zeros(2, np.float32)), state, training=False)
-        np.testing.assert_allclose(y.data[0, 0], (1 - 1) / np.sqrt(4 + 1e-5), atol=1e-6)
-        np.testing.assert_allclose(y.data[0, 1], (1 + 1) / np.sqrt(0.25 + 1e-5),
-                                   rtol=1e-5)
 
     def test_training_updates_moments(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((4, 2, 4, 4)).astype(np.float32) * 2 + 3
         state = RunningMoments(2)
         T.batchnorm2d(Tensor(x), Tensor(np.ones(2, np.float32)),
-                      Tensor(np.zeros(2, np.float32)), state, training=True)
+                      Tensor(np.zeros(2, np.float32)), state)
         m = 4 * 4 * 4
         expected_mean = 0.1 * x.mean(axis=(0, 2, 3))
         expected_var = 0.9 + 0.1 * x.var(axis=(0, 2, 3)) * m / (m - 1)
@@ -344,12 +335,10 @@ class TestBatchNorm:
         x = Tensor(np.zeros((1, 2, 1, 1), np.float32))
         with pytest.raises(DegenerateBatchError):
             T.batchnorm2d(x, Tensor(np.ones(2, np.float32)),
-                          Tensor(np.zeros(2, np.float32)), RunningMoments(2),
-                          training=True)
+                          Tensor(np.zeros(2, np.float32)), RunningMoments(2))
 
-    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("shape,dtype", BN_SHAPES)
-    def test_matches_plain_form_bytes(self, shape, dtype, training):
+    def test_matches_plain_form_bytes(self, shape, dtype):
         rng = np.random.default_rng(23)
         c = shape[1]
         x = (rng.standard_normal(shape) * 2 + 0.5).astype(dtype)
@@ -360,11 +349,11 @@ class TestBatchNorm:
         state.mean[:] = rng.standard_normal(c)
         state.var[:] = rng.uniform(0.5, 2.0, c)
         ref_state = state.copy()
-        want = batchnorm2d_plain(x, gamma, beta, ref_state, training, g)
+        want = batchnorm2d_plain(x, gamma, beta, ref_state, True, g)
 
         xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
         x_before, g_before = x.copy(), g.copy()
-        y = T.batchnorm2d(xt, gt, bt, state, training)
+        y = T.batchnorm2d(xt, gt, bt, state)
         y._backward_fn(g)
         got = (y.data, xt.grad, gt.grad, bt.grad, state.mean, state.var)
         for name, a, b in zip(("out", "dx", "dgamma", "dbeta", "mean", "var"), got,
@@ -378,10 +367,11 @@ class TestBatchNorm:
         a = (np.random.default_rng(24).standard_normal(shape) * 3 + 1).astype(dtype)
         n, c, h, w = shape
         m = n * h * w
-        assert T._channel_sum(a).tobytes() == a.sum(axis=(0, 2, 3)).tobytes()
-        assert (T._channel_sum(a) / m).tobytes() == a.mean(axis=(0, 2, 3)).tobytes()
-        centred = a - a.mean(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-        assert (T._channel_sum(centred * centred) / m).tobytes() == a.var(axis=(0, 2, 3)).tobytes()
+        # batchnorm2d forms its moments as numpy's channel sum over N*H*W
+        axes = (0, 2, 3)
+        assert (a.sum(axis=axes) / m).tobytes() == a.mean(axis=axes).tobytes()
+        centred = a - a.mean(axis=axes).reshape(1, c, 1, 1)
+        assert ((centred * centred).sum(axis=axes) / m).tobytes() == a.var(axis=axes).tobytes()
 
     def test_memory_peaks_at_two_activations(self):
         # A desk64 enc0 activation: batch 16, 8 channels, 64x64.
@@ -395,7 +385,7 @@ class TestBatchNorm:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            y = T.batchnorm2d(x, gamma, beta, RunningMoments(8), training=True)
+            y = T.batchnorm2d(x, gamma, beta, RunningMoments(8))
             after_forward, forward_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             y._backward_fn(g)
@@ -703,7 +693,7 @@ class TestBackward:
         w = Tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32), requires_grad=True)
         gamma = Tensor(np.ones(4, np.float32), requires_grad=True)
         beta = Tensor(np.zeros(4, np.float32), requires_grad=True)
-        y = T.batchnorm2d(T.conv2d(x, w, padding=1), gamma, beta, RunningMoments(4), True)
+        y = T.batchnorm2d(T.conv2d(x, w, padding=1), gamma, beta, RunningMoments(4))
         bn_out = weakref.ref(y.data)
         loss = T.relu(y).sum()
         del y
