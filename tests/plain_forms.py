@@ -1,5 +1,5 @@
 """Plain-form reference ops that more than one test module holds the
-engine to."""
+engine to, and the bound that folded batch norm keeps to them."""
 
 import numpy as np
 
@@ -31,3 +31,9 @@ def batchnorm2d_plain(x, gamma, beta, state, training, g, momentum=0.1, eps=1e-5
         dx = g * g_d * ivar
     out = g_d * xhat + beta.reshape(1, c, 1, 1)
     return out, dx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+
+
+def fold_tolerance(y: np.ndarray) -> float:
+    """The documented bound on |folded - unfused|: 32 machine epsilons of
+    the dtype times the largest output magnitude."""
+    return 32 * np.finfo(y.dtype).eps * float(np.abs(y).max())

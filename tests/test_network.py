@@ -8,7 +8,7 @@ from cacseg.errors import ConfigError, DataIOError, DimensionError
 from cacseg.network import ArchConfig, build, forward, load_model
 from cacseg.params import save_checkpoint
 from cacseg.tensor import Tensor, batchnorm2d, conv2d, softmax_channel
-from plain_forms import batchnorm2d_plain
+from plain_forms import batchnorm2d_plain, fold_tolerance
 
 TINY = ArchConfig(levels=2, base_channels=4)
 
@@ -199,12 +199,6 @@ def conv_bn_unfused(x, store, weight, bn, training, padding=0):
         return batchnorm2d(y, gamma, beta, store.moments(bn))
     return Tensor(batchnorm2d_plain(y.data, gamma.data, beta.data, store.moments(bn), False,
                                     np.zeros_like(y.data))[0])
-
-
-def fold_tolerance(y: np.ndarray) -> float:
-    """The documented bound on |folded - unfused|: 32 machine epsilons of
-    the dtype times the largest output magnitude."""
-    return 32 * np.finfo(y.dtype).eps * float(np.abs(y).max())
 
 
 def conv_bn_sites(store):

@@ -21,7 +21,7 @@ from cacseg.losses import LossConfig, class_weights_from_counts, loss_by_variant
 from cacseg.network import ArchConfig, build, forward
 from cacseg.params import ParameterStore
 from cacseg.tensor import RunningMoments, Tensor
-from plain_forms import batchnorm2d_plain
+from plain_forms import batchnorm2d_plain, fold_tolerance
 
 
 def t64(arr, requires_grad=True):
@@ -319,6 +319,19 @@ class TestBatchNorm:
         expected = np.broadcast_to(beta.data.reshape(1, 3, 1, 1), y.shape)
         np.testing.assert_array_equal(y.data, expected)
 
+    def test_eval_uses_running_moments(self):
+        # Eval mode is the fold: here into a 1x1 identity conv
+        state = RunningMoments(2)
+        state.mean[:] = [1.0, -1.0]
+        state.var[:] = [4.0, 0.25]
+        x = Tensor(np.ones((1, 2, 2, 2), np.float32))
+        eye = Tensor(np.eye(2, dtype=np.float32).reshape(2, 2, 1, 1))
+        y = T.conv2d(x, *T.fold_batchnorm(eye, Tensor(np.ones(2, np.float32)),
+                                          Tensor(np.zeros(2, np.float32)), state))
+        np.testing.assert_allclose(y.data[0, 0], (1 - 1) / np.sqrt(4 + 1e-5), atol=1e-6)
+        np.testing.assert_allclose(y.data[0, 1], (1 + 1) / np.sqrt(0.25 + 1e-5),
+                                   rtol=1e-5)
+
     def test_training_updates_moments(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((4, 2, 4, 4)).astype(np.float32) * 2 + 3
@@ -360,6 +373,36 @@ class TestBatchNorm:
                               want + (ref_state.mean, ref_state.var)):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
             assert a.tobytes() == b.tobytes(), name
+        assert x.tobytes() == x_before.tobytes() and g.tobytes() == g_before.tobytes()
+
+    @pytest.mark.parametrize("shape,dtype", BN_SHAPES)
+    def test_eval_fold_matches_plain_form(self, shape, dtype):
+        # The fold into a 1x1 identity conv against the plain form's two
+        # eval ops: within the fold's bound, and the moments left as stored.
+        rng = np.random.default_rng(23)
+        c = shape[1]
+        x = (rng.standard_normal(shape) * 2 + 0.5).astype(dtype)
+        gamma = rng.uniform(0.5, 1.5, c).astype(dtype)
+        beta = rng.standard_normal(c).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        state = RunningMoments(c, dtype=dtype)
+        state.mean[:] = rng.standard_normal(c)
+        state.var[:] = rng.uniform(0.5, 2.0, c)
+        stored = state.copy()
+        want = batchnorm2d_plain(x, gamma, beta, stored.copy(), False, g)
+
+        xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+        x_before, g_before = x.copy(), g.copy()
+        eye = Tensor(np.eye(c, dtype=dtype).reshape(c, c, 1, 1))
+        y = T.conv2d(xt, *T.fold_batchnorm(eye, gt, bt, state))
+        (y * Tensor(g)).sum().backward()
+        got = (y.data, xt.grad, gt.grad, bt.grad)
+        for name, a, b in zip(("out", "dx", "dgamma", "dbeta"), got, want):
+            assert a.dtype == b.dtype, name
+            assert np.abs(a - b).max() <= fold_tolerance(b), name
+        assert bt.grad.tobytes() == want[3].tobytes()
+        assert state.mean.tobytes() == stored.mean.tobytes()
+        assert state.var.tobytes() == stored.var.tobytes()
         assert x.tobytes() == x_before.tobytes() and g.tobytes() == g_before.tobytes()
 
     @pytest.mark.parametrize("shape,dtype", BN_SHAPES)
