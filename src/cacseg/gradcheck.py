@@ -185,19 +185,15 @@ def _network(seed: int) -> tuple:
                    rng.standard_normal((1, NUM_CLASSES, 16, 16)))
 
 
-def _loss(fn: Callable[[Tensor, np.ndarray, L.LossConfig], Tensor]) -> Check:
-    """A loss through the softmax on random 1x6x4x4 logits and labels."""
+def _loss(**preset) -> Check:
+    """A loss preset through the softmax on random 1x6x4x4 logits and labels."""
     def setup(seed):
         target = np.random.default_rng(seed).integers(0, NUM_CLASSES, size=(1, 4, 4))
         logits = Tensor(np.random.default_rng(seed + 1).standard_normal((1, NUM_CLASSES, 4, 4)),
                         requires_grad=True)
-        cfg = L.LossConfig()
-        return lambda: fn(logits, target, cfg), {"logits": logits}
+        loss = L.loss_by_variant(L.LossConfig(**preset))
+        return lambda: loss(logits, target), {"logits": logits}
     return Check(setup)
-
-
-def _ce(logits: Tensor, target: np.ndarray, cfg: L.LossConfig) -> Tensor:
-    return L.loss_by_variant(L.LossConfig(variant="CE"))(logits, target)
 
 
 _BINARY = (("a", _normal(2, 3, 4, 4)), ("b", _normal(1, 3, 1, 4)))  # broadcasts b
@@ -242,11 +238,11 @@ CHECKS: dict[str, Check] = {
                      ("b", _normal(2, 3, 4, 1))), T.gate),
     "ca_forward": Check(lambda seed: _ca(np.random.default_rng(seed)), NET_TOL),
     "rica_forward": Check(_rica, NET_TOL),
-    "loss_weighted_focal": _loss(L.weighted_focal),
-    "loss_exp_log_dice": _loss(L.exp_log_dice),
-    "loss_focal_logdice": _loss(L.focal_logdice),
-    "loss_focal_dice": _loss(L.focal_dice),
-    "loss_ce": _loss(_ce),
+    "loss_weighted_focal": _loss(variant="Focal"),
+    "loss_exp_log_dice": _loss(w_focal=0.0, w_dice=1.0),
+    "loss_focal_logdice": _loss(),
+    "loss_focal_dice": _loss(variant="FocalDice"),
+    "loss_ce": _loss(variant="CE"),
     "network_end_to_end": Check(_network, NET_TOL),
 }
 

@@ -1,17 +1,21 @@
 """The weighted Focal LogDice loss and its ablation family.
 
-Four variants over 6-class logits:
+One loss, `combo_loss`, over 6-class logits: w_focal * focal + w_dice * a
+Dice term, mean_i (-ln Dice_i)^gamma_d or, for FocalDice, 1 - mean soft
+Dice. A term whose weight is 0 is not built. Each variant is a preset of
+this one loss, set once by `resolve_variant`:
 
-* CE            - plain cross-entropy (focal with gamma=0, unit weights)
-* Focal         - class-weighted focal loss
-* FocalDice     - w_f * focal + w_d * (1 - mean soft Dice)
-* FocalLogDice  - w_f * focal + w_d * mean_i (-ln Dice_i)^gamma_d
+* CE            - focal alone (w_focal=1, w_dice=0) at gamma 0, unit weights
+* Focal         - class-weighted focal alone (w_focal=1, w_dice=0)
+* FocalDice     - the configured weights
+* FocalLogDice  - the configured weights, scaled once to sum to 1
 
-Each is one call into `_combo`: one mask check, softmax and one-hot, and
-one `probs * onehot` for both the focal p_t and the Dice intersection.
-Soft Dice is per class over the whole batch, as the evaluation module's
-global counts are. Class weights from pixel counts are Wong et al.'s
-(arXiv:1809.00076) square-root inverse frequencies, scaled to mean 1.
+The Dice term alone is FocalLogDice at w_focal=0, w_dice=1. One mask check,
+softmax and one-hot, and one `probs * onehot` serve both the focal p_t and
+the Dice intersection. Soft Dice is per class over the whole batch, as the
+evaluation module's global counts are. Class weights from pixel counts are
+Wong et al.'s (arXiv:1809.00076) square-root inverse frequencies, scaled to
+mean 1.
 """
 
 from __future__ import annotations
@@ -45,10 +49,15 @@ class LossConfig:
         self.class_weights = np.asarray(self.class_weights, dtype=np.float64)
 
     def validate(self) -> None:
+        """Raise ConfigError on a setting no loss can use; self is left as it is."""
         if self.variant not in VARIANTS:
             raise ConfigError(
                 f"unknown loss variant {self.variant!r}; valid variants: {', '.join(VARIANTS)}"
             )
+        for name in ("w_focal", "w_dice", "focal_gamma", "dice_gamma", "smooth_eps",
+                     "class_weights"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"loss.{name} must be finite, got {getattr(self, name)}")
         if self.focal_gamma < 0:
             raise ConfigError(f"focal_gamma must be >= 0, got {self.focal_gamma}")
         if self.dice_gamma <= 0:
@@ -63,12 +72,6 @@ class LossConfig:
             raise ConfigError("class_weights must all be positive")
         if self.w_focal < 0 or self.w_dice < 0 or self.w_focal + self.w_dice == 0:
             raise ConfigError("combo weights must be non-negative and not both zero")
-        if self.variant == "FocalLogDice":
-            # keep the combo weights a convex pair
-            total = self.w_focal + self.w_dice
-            if total != 1.0:
-                self.w_focal /= total
-                self.w_dice /= total
 
 
 def class_weights_from_counts(counts) -> np.ndarray:
@@ -98,65 +101,45 @@ def _soft_dice(probs: Tensor, onehot: np.ndarray, hit: Tensor, eps: float) -> Te
     return (inter * 2.0 + eps) / (p_sum + t_sum + eps)
 
 
-def _log_pow_dice(dice: Tensor, cfg: LossConfig) -> Tensor:
+def _dice_term(dice: Tensor, cfg: LossConfig) -> Tensor:
+    if cfg.variant == "FocalDice":
+        return 1.0 - dice.mean()
     # clip guards against d landing one ulp above 1 from float rounding
     neg_log = (-dice.log()).clip(0.0, None)
     return neg_log.pow(cfg.dice_gamma, grad_floor=_POW_GRAD_FLOOR).mean()
 
 
-def _linear_dice(dice: Tensor, cfg: LossConfig) -> Tensor:
-    return 1.0 - dice.mean()
-
-
-def _combo(logits: Tensor, target: np.ndarray, cfg: LossConfig, focal: bool,
-           dice_term) -> Tensor:
-    """w_focal * focal + w_dice * dice_term(soft Dice), or either term alone
-    (`focal` false, `dice_term` None), unweighted, over one `probs * onehot`."""
+def combo_loss(logits: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
+    """w_focal * focal + w_dice * cfg.variant's Dice term over one
+    `probs * onehot`, for cfg as `resolve_variant` returns it; a term whose
+    weight is 0 is not built."""
     target = check_labels(target).astype(np.int64, copy=False)
     probs = softmax_channel(logits)
     onehot = _onehot(target, probs.dtype.type)
     hit = probs * onehot
-    if dice_term is None:
-        return _focal(hit, target, cfg)
-    dice = dice_term(_soft_dice(probs, onehot, hit, cfg.smooth_eps), cfg)
-    return _focal(hit, target, cfg) * cfg.w_focal + dice * cfg.w_dice if focal else dice
-
-
-def weighted_focal(logits: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
-    """Mean over pixels of -alpha_c * (1 - p_c)^gamma * ln(p_c)."""
-    return _combo(logits, target, cfg, focal=True, dice_term=None)
-
-
-def exp_log_dice(logits: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
-    """Mean over classes of (-ln Dice_i)^gamma_d with batch-level Dice."""
-    return _combo(logits, target, cfg, focal=False, dice_term=_log_pow_dice)
-
-
-def focal_logdice(logits: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
-    """w_focal * focal + w_dice * exponential log Dice (one fused addition)."""
-    return _combo(logits, target, cfg, focal=True, dice_term=_log_pow_dice)
-
-
-def focal_dice(logits: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
-    """w_focal * focal + w_dice * (1 - mean soft Dice)."""
-    return _combo(logits, target, cfg, focal=True, dice_term=_linear_dice)
-
-
-_BY_VARIANT = {"CE": weighted_focal, "Focal": weighted_focal,
-               "FocalDice": focal_dice, "FocalLogDice": focal_logdice}
+    loss = _focal(hit, target, cfg) * cfg.w_focal if cfg.w_focal else None
+    if not cfg.w_dice:
+        return loss
+    dice = _dice_term(_soft_dice(probs, onehot, hit, cfg.smooth_eps), cfg) * cfg.w_dice
+    return dice if loss is None else loss + dice
 
 
 def resolve_variant(cfg: LossConfig) -> LossConfig:
-    """The validated settings cfg.variant's loss computes with: CE is the
-    focal loss at gamma 0 with unit class weights."""
+    """A new config with the settings of cfg.variant's preset (see the module
+    docstring); cfg is checked and left as it is."""
     cfg.validate()
     if cfg.variant == "CE":
-        return replace(cfg, focal_gamma=0.0, class_weights=np.ones(NUM_CLASSES))
-    return cfg
+        return replace(cfg, w_focal=1.0, w_dice=0.0, focal_gamma=0.0,
+                       class_weights=np.ones(NUM_CLASSES))
+    if cfg.variant == "Focal":
+        return replace(cfg, w_focal=1.0, w_dice=0.0)
+    if cfg.variant == "FocalLogDice":
+        total = cfg.w_focal + cfg.w_dice
+        return replace(cfg, w_focal=cfg.w_focal / total, w_dice=cfg.w_dice / total)
+    return replace(cfg)
 
 
 def loss_by_variant(cfg: LossConfig):
-    """Return the (logits, target) -> scalar loss for cfg.variant."""
+    """Return the (logits, target) -> scalar loss of cfg.variant's preset."""
     cfg = resolve_variant(cfg)
-    loss = _BY_VARIANT[cfg.variant]
-    return lambda logits, target: loss(logits, target, cfg)
+    return lambda logits, target: combo_loss(logits, target, cfg)

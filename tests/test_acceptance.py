@@ -88,13 +88,16 @@ def test_criterion_2_attention_shape_and_range():
 def test_criterion_3_combo_arithmetic():
     rng = np.random.default_rng(33)
     cfg = L.LossConfig()
+    combo_fn = L.loss_by_variant(cfg)
+    focal_fn = L.loss_by_variant(L.LossConfig(variant="Focal"))
+    dice_fn = L.loss_by_variant(L.LossConfig(w_focal=0.0, w_dice=1.0))  # Dice-only preset
     exact = 0
     for _ in range(50):
         logits = Tensor(rng.standard_normal((2, 6, 6, 6)).astype(np.float32))
         target = rng.integers(0, 6, (2, 6, 6))
-        combo = L.focal_logdice(logits, target, cfg).item()
-        f = L.weighted_focal(logits, target, cfg)
-        d = L.exp_log_dice(logits, target, cfg)
+        combo = combo_fn(logits, target).item()
+        f = focal_fn(logits, target)
+        d = dice_fn(logits, target)
         exact += combo == (f * cfg.w_focal + d * cfg.w_dice).item()
     # CE reduction vs a textbook oracle, 64-bit path
     ce_err = 0.0

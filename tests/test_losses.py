@@ -28,11 +28,30 @@ def softmax_np(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+# The Dice term alone: the FocalLogDice preset with the focal weight at 0.
+DICE_ONLY = {"variant": "FocalLogDice", "w_focal": 0.0, "w_dice": 1.0}
+
+
+def variant_loss(logits, target, cfg=None) -> Tensor:
+    """The loss of cfg's preset (default settings when cfg is None)."""
+    return L.loss_by_variant(cfg or L.LossConfig())(logits, target)
+
+
+def focal(logits, target, cfg=None) -> Tensor:
+    """The focal term alone: the Focal preset of cfg's other settings."""
+    return variant_loss(logits, target, replace(cfg or L.LossConfig(), variant="Focal"))
+
+
+def log_dice(logits, target, cfg=None) -> Tensor:
+    """The exponential log Dice term alone, with cfg's other settings."""
+    return variant_loss(logits, target, replace(cfg or L.LossConfig(), **DICE_ONLY))
+
+
 class TestWeightedFocal:
     def test_perfect_prediction_is_zero(self):
         rng = np.random.default_rng(0)
         target = rng.integers(0, 6, (2, 4, 4))
-        loss = L.weighted_focal(Tensor(perfect_logits(target)), target, L.LossConfig())
+        loss = focal(Tensor(perfect_logits(target)), target)
         assert loss.item() == 0.0
 
     def test_single_pixel_half_probability(self):
@@ -40,7 +59,7 @@ class TestWeightedFocal:
         logits = np.log(np.array([0.5, 0.1, 0.1, 0.1, 0.1, 0.1], np.float64))
         logits = logits.reshape(1, 6, 1, 1)
         target = np.zeros((1, 1, 1), np.int64)
-        loss = L.weighted_focal(Tensor(logits), target, L.LossConfig())
+        loss = focal(Tensor(logits), target)
         assert abs(loss.item() - 0.25 * np.log(2.0)) < 1e-9
 
     def test_gamma_zero_unit_weights_is_cross_entropy(self):
@@ -48,7 +67,7 @@ class TestWeightedFocal:
         logits = rng.standard_normal((2, 6, 4, 4))
         target = rng.integers(0, 6, (2, 4, 4))
         cfg = L.LossConfig(focal_gamma=0.0, class_weights=np.ones(6))
-        loss = L.weighted_focal(Tensor(logits), target, cfg)
+        loss = focal(Tensor(logits), target, cfg)
         p = softmax_np(logits)
         pt = np.take_along_axis(p, target[:, None], axis=1)[:, 0]
         oracle = float(-np.log(np.clip(pt, cfg.smooth_eps, 1.0)).mean())
@@ -59,12 +78,12 @@ class TestWeightedFocal:
         logits = rng.standard_normal((1, 6, 3, 3))
         target = rng.integers(0, 6, (1, 3, 3))
         cfg = L.LossConfig()
-        base = L.weighted_focal(Tensor(logits), target, cfg).item()
+        base = focal(Tensor(logits), target, cfg).item()
         for y in range(3):
             for x in range(3):
                 bumped = logits.copy()
                 bumped[0, target[0, y, x], y, x] += 0.5
-                after = L.weighted_focal(Tensor(bumped), target, cfg).item()
+                after = focal(Tensor(bumped), target, cfg).item()
                 assert after <= base + 1e-12
 
     def test_out_of_range_label_reports_value_and_position(self):
@@ -72,7 +91,7 @@ class TestWeightedFocal:
         target = np.zeros((1, 2, 2), np.int64)
         target[0, 1, 0] = 7
         with pytest.raises(LabelError, match=r"7 at position \(0, 1, 0\)"):
-            L.weighted_focal(Tensor(logits), target, L.LossConfig())
+            focal(Tensor(logits), target)
 
 
 # inverse-frequency weights of a lesion-sparse set (background ~0.001)
@@ -85,7 +104,7 @@ class TestFocalWeighting:
         logits = rng.standard_normal((2, 6, 4, 4))
         target = rng.integers(0, 6, (2, 4, 4))
         cfg = L.LossConfig(class_weights=SPARSE_WEIGHTS)
-        loss = L.weighted_focal(Tensor(logits), target, cfg).item()
+        loss = focal(Tensor(logits), target, cfg).item()
         pt = np.take_along_axis(softmax_np(logits), target[:, None], axis=1)[:, 0]
         pt = np.clip(pt, cfg.smooth_eps, 1.0)
         alpha = SPARSE_WEIGHTS[target]
@@ -96,7 +115,7 @@ class TestFocalWeighting:
         rng = np.random.default_rng(12)
         target = rng.integers(0, 6, (1, 4, 4))
         cfg = L.LossConfig(class_weights=SPARSE_WEIGHTS)
-        for make in (L.weighted_focal, L.focal_logdice):
+        for make in (focal, variant_loss):
             logits = Tensor(rng.standard_normal((1, 6, 4, 4)), requires_grad=True)
             res = check_gradients(make.__name__, lambda: make(logits, target, cfg),
                                   {"logits": logits}, tol=OP_TOL)
@@ -113,7 +132,7 @@ def soft_dice(probs: Tensor, target: np.ndarray, cfg: L.LossConfig) -> Tensor:
 class TestExpLogDice:
     def test_perfect_prediction_below_1e6(self):
         target = np.tile(np.arange(6, dtype=np.int64).reshape(1, 6, 1), (1, 1, 4))
-        loss = L.exp_log_dice(Tensor(perfect_logits(target)), target, L.LossConfig())
+        loss = log_dice(Tensor(perfect_logits(target)), target)
         assert 0.0 <= loss.item() < 1e-6
 
     def test_empty_class_contributes_nothing(self):
@@ -138,7 +157,7 @@ class TestExpLogDice:
         expected = (2 * 0.5 * 4 + eps) / (0.5 * 4 + 4 + eps)
         assert abs(dice.data[0] - expected) < 1e-9
         assert abs(expected - 2.0 / 3.0) < 1e-5
-        loss = L.exp_log_dice(Tensor(logits), target, cfg)
+        loss = log_dice(Tensor(logits), target, cfg)
         per_class = soft_dice(Tensor(softmax_np(logits)), target, cfg).data
         oracle = float(np.mean((-np.log(per_class)) ** cfg.dice_gamma))
         assert abs(loss.item() - oracle) < 1e-9
@@ -151,9 +170,9 @@ class TestCombos:
         for _ in range(10):
             logits = Tensor(rng.standard_normal((2, 6, 4, 4)).astype(np.float32))
             target = rng.integers(0, 6, (2, 4, 4))
-            combo = L.focal_logdice(logits, target, cfg).item()
-            f = L.weighted_focal(logits, target, cfg)
-            d = L.exp_log_dice(logits, target, cfg)
+            combo = variant_loss(logits, target, cfg).item()
+            f = focal(logits, target, cfg)
+            d = log_dice(logits, target, cfg)
             recombined = (f * cfg.w_focal + d * cfg.w_dice).item()
             assert combo == recombined
 
@@ -171,9 +190,9 @@ class TestCombos:
             fn(t).backward()
             return t.grad
 
-        g_combo = grad_of(lambda t: L.focal_logdice(t, target, cfg))
-        g_focal = grad_of(lambda t: L.weighted_focal(t, target, cfg))
-        g_dice = grad_of(lambda t: L.exp_log_dice(t, target, cfg))
+        g_combo = grad_of(lambda t: variant_loss(t, target, cfg))
+        g_focal = grad_of(lambda t: focal(t, target, cfg))
+        g_dice = grad_of(lambda t: log_dice(t, target, cfg))
         np.testing.assert_allclose(g_combo, 0.4 * g_focal + 0.6 * g_dice,
                                    rtol=1e-9, atol=1e-12)
 
@@ -183,14 +202,19 @@ class TestCombos:
         for c in range(6):  # make every class present
             target[0, c, 0] = c
         logits = Tensor(perfect_logits(target))
-        a = L.focal_dice(logits, target, L.LossConfig(variant="FocalDice")).item()
-        b = L.focal_logdice(logits, target, L.LossConfig()).item()
+        a = variant_loss(logits, target, L.LossConfig(variant="FocalDice")).item()
+        b = variant_loss(logits, target).item()
         assert abs(a) < 1e-6 and abs(b) < 1e-6
 
     def test_logdice_penalizes_harder_than_plain_dice(self):
         gamma_d = 0.3
         for d in np.arange(0.1, 0.95, 0.1):
             assert (-np.log(d)) ** gamma_d > (1.0 - d)
+
+
+NON_FINITE = [("w_focal", np.nan), ("w_dice", np.inf), ("focal_gamma", np.inf),
+              ("dice_gamma", np.nan), ("smooth_eps", np.inf),
+              ("class_weights", [1.0, 1.0, np.nan, 1.0, 1.0, 1.0])]
 
 
 class TestVariants:
@@ -231,8 +255,26 @@ class TestVariants:
 
     def test_logdice_weights_normalized(self):
         cfg = L.LossConfig(w_focal=1.0, w_dice=1.5)
-        cfg.validate()
-        assert abs(cfg.w_focal - 0.4) < 1e-12 and abs(cfg.w_dice - 0.6) < 1e-12
+        resolved = L.resolve_variant(cfg)
+        assert abs(resolved.w_focal - 0.4) < 1e-12 and abs(resolved.w_dice - 0.6) < 1e-12
+        assert (cfg.w_focal, cfg.w_dice) == (1.0, 1.5)
+
+    def test_loss_independent_of_earlier_validations(self):
+        rng = np.random.default_rng(8)
+        logits = rng.standard_normal((2, 6, 4, 4))
+        target = rng.integers(0, 6, (2, 4, 4))
+        got = set()
+        for validations in range(3):
+            cfg = L.LossConfig(w_focal=0.1, w_dice=0.3)
+            for _ in range(validations):
+                cfg.validate()
+            got.add(_loss_and_grad_bytes(L.loss_by_variant(cfg), logits, target))
+        assert len(got) == 1
+
+    @pytest.mark.parametrize("field, value", NON_FINITE, ids=[f for f, _ in NON_FINITE])
+    def test_non_finite_setting_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"loss.{field} must be finite"):
+            L.LossConfig(**{field: value}).validate()
 
 
 class TestClassWeights:
@@ -299,22 +341,21 @@ ORACLE = {
 }
 ORACLE_OF_VARIANT = {"CE": "weighted_focal", "Focal": "weighted_focal",
                      "FocalDice": "focal_dice", "FocalLogDice": "focal_logdice"}
-ENTRIES = [*L.VARIANTS, *ORACLE]
+ENTRIES = [*L.VARIANTS, "DiceOnly"]
 CORE_SHAPES = [(1, 1, 1), (1, 1, 7), (1, 5, 1), (2, 3, 4), (3, 6, 2), (4, 4, 5)]
 
 
 def _loss_fn(name, weights):
-    """The loss under test: a variant through loss_by_variant, or a public function."""
-    if name in L.VARIANTS:
-        return L.loss_by_variant(L.LossConfig(variant=name, class_weights=weights))
-    cfg = L.LossConfig(class_weights=weights)
-    return lambda logits, target: getattr(L, name)(logits, target, cfg)
+    """The loss under test: a variant's preset or the Dice-only one, through
+    loss_by_variant."""
+    settings = DICE_ONLY if name == "DiceOnly" else {"variant": name}
+    return L.loss_by_variant(L.LossConfig(**settings, class_weights=weights))
 
 
 def _oracle_fn(name, weights):
-    if name not in L.VARIANTS:
+    if name == "DiceOnly":
         cfg = L.LossConfig(class_weights=weights)
-        return lambda logits, target: ORACLE[name](logits, target, cfg)
+        return lambda logits, target: ORACLE["exp_log_dice"](logits, target, cfg)
     cfg = L.LossConfig(variant=name, class_weights=weights)
     cfg.validate()
     if name == "CE":
@@ -356,6 +397,24 @@ class TestLossCore:
             _loss_fn(name, np.ones(6))(logits, target)
             assert calls == {"check_labels": 1, "softmax_channel": 1, "_onehot": 1}, name
 
+    def test_term_of_weight_zero_not_built(self, monkeypatch):
+        built = Counter()
+        for attr in ("_focal", "_soft_dice"):
+            def counted(*args, _orig=getattr(L, attr), _attr=attr):
+                built[_attr] += 1
+                return _orig(*args)
+            monkeypatch.setattr(L, attr, counted)
+        rng = np.random.default_rng(23)
+        logits = Tensor(rng.standard_normal((2, 6, 3, 3)))
+        target = rng.integers(0, 6, (2, 3, 3))
+        both = {"_focal": 1, "_soft_dice": 1}
+        want = {"CE": {"_focal": 1}, "Focal": {"_focal": 1}, "FocalDice": both,
+                "FocalLogDice": both, "DiceOnly": {"_soft_dice": 1}}
+        for name in ENTRIES:
+            built.clear()
+            _loss_fn(name, np.ones(6))(logits, target)
+            assert built == want[name], name
+
 
 class TestTargetCheck:
     @pytest.mark.parametrize("value,shown", [(np.inf, "inf"), (-np.inf, "-inf"),
@@ -366,7 +425,7 @@ class TestTargetCheck:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(LabelError) as info:
-                L.weighted_focal(Tensor(np.zeros((1, 6, 2, 2))), target, L.LossConfig())
+                focal(Tensor(np.zeros((1, 6, 2, 2))), target)
         assert f"mask value {shown} at position (0, 1, 1)" in str(info.value)
         assert str(np.iinfo(np.int64).min) not in str(info.value)
 
@@ -375,7 +434,7 @@ class TestTargetCheck:
         target = np.zeros((1, 2, 2))
         target[0, 0, 1] = value
         with pytest.raises(LabelError, match="non-integer"):
-            L.focal_logdice(Tensor(np.zeros((1, 6, 2, 2))), target, L.LossConfig())
+            variant_loss(Tensor(np.zeros((1, 6, 2, 2))), target)
 
     def test_integral_float_mask_matches_int_mask_bytewise(self):
         rng = np.random.default_rng(22)

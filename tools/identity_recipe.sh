@@ -37,12 +37,13 @@ C train --config configs/overfit.cfg --set train.epochs=8 \
 C synth --config configs/desk64-phantom.cfg --set data.phantom.slices=48 --out "$O/ph-desk"
 C train --config configs/desk64-train.cfg --set train.epochs=2 \
     --set data.train_dir="$O/ph-desk" --set data.val_dir="$O/ph-desk" --out "$O/desk"
-# the other three loss variants, FocalLogDice without attention, and a run
-# with dataclass-backed keys away from their defaults (the rotation angles
-# and blur radii among them)
-for run in CE Focal FocalDice noca nondefault; do
+# the other three loss variants, FocalLogDice without attention, FocalLogDice
+# with combo weights that do not sum to 1, and a run with dataclass-backed
+# keys away from their defaults (the rotation angles and blur radii among them)
+for run in CE Focal FocalDice noca weights nondefault; do
     case $run in
         noca) sets=(--set arch.ca_enabled=false) ;;
+        weights) sets=(--set loss.w_focal=0.1 --set loss.w_dice=4.3) ;;
         nondefault) sets=(--set arch.ca_activation=hardswish
                           --set train.restart_period_multiplier=2
                           --set loss.class_weights=0.2,0.6,1.4,1.2,1.3,1.3
