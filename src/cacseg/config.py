@@ -147,6 +147,8 @@ class Config:
             raise ConfigError(self._unknown_key_message(key))
         spec = _REGISTRY[key]
         value = _parse_value(key, spec, raw)
+        if key.endswith(".seed") and value < 0:
+            raise ConfigError(f"{key} must be >= 0, got {value}")
         if spec.choices and value not in spec.choices:
             raise ConfigError(
                 f"invalid value {value!r} for {key}; valid values: "

@@ -9,19 +9,27 @@ The recorded graph is made of nodes, not values. Every tensor owns one
 node, which holds its gradient slot, its backward closure, the nodes of
 its inputs and its shape; the tensor itself holds only ``data``. An op's
 closure captures its inputs' nodes plus only what its backward cannot
-rebuild cheaply: the padded conv input and the weight, the normalized BN
-input, the ReLU sign mask as packed bits (1 bit per element), the
-max-pool route as two packed bit planes (2 bits per window, no input or
-output), both operands of a product, and for ``gate`` its input and two
-gates, from which backward rebuilds the product of the first two. So an
-op output that no closure saved is freed as soon as the forward drops
-its tensor, and so is an op input that only a relu or max-pool read.
+rebuild cheaply: the unpadded conv input and the weight, the normalized
+BN input ``xhat``, the ReLU sign mask as packed bits (1 bit per element),
+the max-pool route as two packed bit planes (2 bits per window, no input
+or output), both operands of a product, and for ``gate`` its input and
+two gates, from which backward rebuilds the product of the first two.
+A node may also carry a rebuild, which writes one image of its data
+back, byte for byte, from state the graph keeps anyway: the output of
+batch norm has one (``gamma * xhat + beta``), and so has a relu of it.
+A conv whose input carries a rebuild keeps only the weight and rebuilds
+its input one image at a time in backward. This relies on no parameter
+being written between a forward and its backward, as every closure that
+reads a parameter's data does. So an op output that no closure saved is
+freed as soon as the forward drops its tensor, and so is an op input
+that only a relu, a max-pool or a conv fed through a rebuild read.
 ``Tensor.backward`` topologically sorts the nodes and visits every op
 exactly once in reverse execution order. It releases the graph as it
 goes: once a node's closure has run, the node drops its gradient, its
-closure and its inputs, so saved arrays are freed as soon as their last
-consumer is done. When ``backward`` returns only leaf grads remain, and a
-second ``backward`` through the released graph raises ``ContractError``.
+closure, its inputs and its rebuild, so saved arrays are freed as soon
+as their last consumer is done. When ``backward`` returns only leaf
+grads remain, and a second ``backward`` through the released graph
+raises ``ContractError``.
 """
 
 from __future__ import annotations
@@ -123,14 +131,20 @@ class _Node:
     """One tensor's place in the graph: gradient slot, backward closure,
     input nodes and shape, plus a weak reference to the tensor's data."""
 
-    __slots__ = ("grad", "requires_grad", "_parents", "_backward_fn", "shape", "_data")
+    __slots__ = ("grad", "requires_grad", "_parents", "_backward_fn", "rebuild", "shape",
+                 "_data")
 
     def __init__(self, data, requires_grad: bool, parents: tuple = (),
-                 backward_fn: Optional[Callable[[np.ndarray], None]] = None):
+                 backward_fn: Optional[Callable[[np.ndarray], None]] = None,
+                 rebuild: Optional[Callable[[int, np.ndarray], np.ndarray]] = None):
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self._parents = parents
         self._backward_fn = backward_fn
+        # rebuild(b, out) writes image b of the tensor's data into `out`,
+        # byte for byte, from state the graph keeps anyway, until this
+        # node's own closure has run.
+        self.rebuild = rebuild
         self.shape = data.shape
         self._data = _ref(data)
 
@@ -172,12 +186,14 @@ class Tensor:
         self._node = _Node(arr, bool(requires_grad))
 
     @classmethod
-    def _make(cls, data: np.ndarray, parents: tuple, backward_fn) -> "Tensor":
-        """The output of an op whose inputs have the nodes `parents`."""
+    def _make(cls, data: np.ndarray, parents: tuple, backward_fn,
+              rebuild=None) -> "Tensor":
+        """The output of an op whose inputs have the nodes `parents`; a
+        recorded output carries `rebuild` (see `_Node`)."""
         out = cls.__new__(cls)
         out._data = data
         if _grad_enabled and any(p.requires_grad for p in parents):
-            out._node = _Node(data, True, parents, backward_fn)
+            out._node = _Node(data, True, parents, backward_fn, rebuild)
         else:
             out._node = _Node(data, False)
         return out
@@ -254,10 +270,10 @@ class Tensor:
         input nodes and the arrays they saved in forward; op outputs that
         no closure saved are gone by now. The graph is released as the
         pass runs: after a node's closure has run, the node drops its
-        ``grad``, its closure and its parents, so the arrays that closure
-        saved are freed once no later closure needs them. Leaves (no
-        closure) keep their grads. A later backward through any released
-        node raises ``ContractError``.
+        ``grad``, its closure, its parents and its rebuild, so the arrays
+        that closure saved are freed once no later closure needs them.
+        Leaves (no closure) keep their grads. A later backward through any
+        released node raises ``ContractError``.
         """
         if self._data.size != 1:
             raise ContractError(
@@ -292,6 +308,7 @@ class Tensor:
             node.grad = None
             node._backward_fn = _released
             node._parents = ()
+            node.rebuild = None
 
     # -- elementwise arithmetic (broadcasting) --------------------------
 
@@ -518,7 +535,9 @@ def relu(x: Tensor) -> Tensor:
     """max(x, 0). The sign mask is built only when a backward can use it or
     ``record_switches`` is open; the switch record is the bool mask. The
     closure keeps the mask as ``np.packbits`` bits, one bit per element,
-    and unpacks them in backward."""
+    and unpacks them in backward. When the input's node carries a rebuild,
+    the output's node carries one too: the input's, then ``np.maximum``
+    with 0, as in forward."""
     out_data = np.maximum(x.data, 0)
     xn = x._node
     grad = _grad_enabled and xn.requires_grad
@@ -534,7 +553,14 @@ def relu(x: Tensor) -> Tensor:
     def bw(g):
         xn.accum(g * np.unpackbits(bits, count=size).view(bool).reshape(shape))
 
-    return Tensor._make(out_data, (xn,), bw)
+    rebuild = None
+    if xn.rebuild is not None:
+        rebuild_x = xn.rebuild
+
+        def rebuild(b, out):
+            return np.maximum(rebuild_x(b, out), 0, out=out)
+
+    return Tensor._make(out_data, (xn,), bw, rebuild)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -673,22 +699,52 @@ def _tap_product(w_tap: np.ndarray, x_tap: np.ndarray, out: np.ndarray) -> np.nd
     return np.matmul(w_tap, x_tap, out=out)
 
 
+def _conv_image(x_d: Optional[np.ndarray], b: int, buf: Optional[np.ndarray], padding: int,
+                rebuild=None) -> np.ndarray:
+    """Image `b` of a conv input as (C, Hp*Wp).
+
+    Without a one-image scratch `buf` this is ``x_d[b]`` itself, unpadded.
+    Otherwise image `b` is written into the interior of `buf`, (C, Hp, Wp),
+    whose border of `padding` zeros stays as allocated: copied from
+    ``x_d[b]``, or, when `x_d` is None, by ``rebuild(b, interior)``.
+    """
+    if buf is None:
+        return x_d[b].reshape(x_d.shape[1], -1)
+    c, hp, wp = buf.shape
+    interior = buf[:, padding:hp - padding, padding:wp - padding]
+    if x_d is None:
+        rebuild(b, interior)
+    else:
+        interior[...] = x_d[b]
+    return buf.reshape(c, hp * wp)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            padding: int = 0) -> Tensor:
     """2D cross-correlation over N,C,H,W with gradients for all operands.
 
-    Shift-and-accumulate kernel (MEC, Cho & Brand 2017): with the padded
-    input flattened to (N, C, Hp*Wp), the input of kernel tap (i, j) for
+    Shift-and-accumulate kernel (MEC, Cho & Brand 2017): with an image
+    padded and flattened to (C, Hp*Wp), the input of kernel tap (i, j) for
     every output pixel is the one slice starting at i*Wp + j, and output
     pixel (r, c) sits at r*Wp + c. So each tap is one GEMM per image,
     ``W[:, :, i, j] @ slice``, accumulated into an output of row pitch Wp
     whose last Wp - Wout columns per row are junk and dropped. Backward
-    uses the same slices: grad-w of a tap is ``g @ slice.T`` summed over
-    the batch, and grad-x adds ``W[:, :, i, j].T @ g`` into the slice of
-    one image's zeroed padded buffer, whose interior is then copied into
-    grad-x (without padding, the buffer is the image's slot of grad-x).
-    No column buffer is built; the backward closure holds the padded input
-    and the weight only.
+    uses the same slices: grad-w of a tap is ``slice @ g.T``, summed over
+    the images in batch order, and grad-x adds ``W[:, :, i, j].T @ g`` into
+    the slice of one image's zeroed padded buffer, whose interior is then
+    copied into grad-x. `g` is widened to row pitch Wp one image at a time.
+
+    Every pass works one image at a time: each image is padded into a
+    one-image scratch, and no full-batch padded copy, accumulator or
+    widened gradient is built. No column buffer is built either. The
+    backward closure holds the weight and the unpadded input, or not even
+    the input when its node carries a rebuild (the output of batch norm,
+    or a relu of one): then backward writes each image back into the
+    scratch from the state batch norm keeps anyway, with the same
+    operations in the same order, so the bytes are those of the forward's
+    input (recompute over store, Chen et al., arXiv:1604.06174). That
+    relies on no parameter being written between a forward and its
+    backward.
 
     The taps of one image run back to back, so its accumulator stays in
     cache, and an image's output does not depend on the batch it came in.
@@ -714,66 +770,77 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     hp, wp = h + 2 * padding, w + 2 * padding
     hout, wout = hp - kh + 1, wp - kw + 1
     # The flat length from the first output pixel to the last: tap (i, j)
-    # reads x_flat[..., off:off + span].
+    # reads an image's x_flat[:, off:off + span].
     span = hout * wp - kw + 1
     taps = [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
-
-    if padding:
-        xp = np.zeros((n, cin, hp, wp), dtype=x.dtype)
-        xp[:, :, padding:padding + h, padding:padding + w] = x.data
-    else:
-        xp = np.ascontiguousarray(x.data)
-    x_flat = xp.reshape(n, cin, hp * wp)
     w_taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))
 
-    acc = np.empty((n, cout, hout * wp), dtype=x.dtype)
+    dtype = x.dtype if bias is None else np.result_type(x.dtype, bias.dtype)
+    out_data = np.empty((n, cout, hout, wout), dtype=dtype)
+    buf = np.zeros((cin, hp, wp), dtype=x.dtype) if padding else None
+    # with junk columns, an image accumulates in a scratch; else in place
+    wide = np.empty((cout, hout * wp), dtype=x.dtype) if wout < wp else None
     tmp = np.empty((cout, span), dtype=x.dtype)
     for b in range(n):
-        acc_b = acc[b, :, :span]
+        x_flat = _conv_image(x.data, b, buf, padding)
+        acc = out_data[b].reshape(cout, span) if wide is None else wide[:, :span]
         for t, (i, j, off) in enumerate(taps):
-            x_tap = x_flat[b, :, off:off + span]
+            x_tap = x_flat[:, off:off + span]
             if t == 0:
-                _tap_product(w_taps[i, j], x_tap, acc_b)
+                _tap_product(w_taps[i, j], x_tap, acc)
             else:
-                acc_b += _tap_product(w_taps[i, j], x_tap, tmp)
-    out_view = acc.reshape(n, cout, hout, wp)[..., :wout]
-    if bias is not None:
-        out_data = out_view + bias.data.reshape(1, cout, 1, 1)
-    else:
-        out_data = np.ascontiguousarray(out_view)
+                acc += _tap_product(w_taps[i, j], x_tap, tmp)
+        if wide is not None:
+            out_data[b] = wide.reshape(cout, hout, wp)[..., :wout]
+        if bias is not None:
+            out_data[b] += bias.data.reshape(cout, 1, 1)
 
     xn, wn = x._node, weight._node
     bn = None if bias is None else bias._node
     parents = (xn, wn) if bn is None else (xn, wn, bn)
+    rebuild = xn.rebuild
+    x_d = None if rebuild is not None else x.data
 
     def bw(g):
         if bn is not None and bn.requires_grad:
             bn.accum(g.sum(axis=(0, 2, 3)))
-        if wout == wp:
-            g_flat = np.ascontiguousarray(g).reshape(n, cout, span)
-        else:
-            g_wide = np.zeros((n, cout, hout, wp), dtype=g.dtype)
-            g_wide[..., :wout] = g
-            g_flat = g_wide.reshape(n, cout, hout * wp)[:, :, :span]
         if wn.requires_grad:
             gw = np.empty((kh, kw, cin, cout), dtype=g.dtype)
-            g_flat_t = g_flat.transpose(0, 2, 1)
-            for i, j, off in taps:
-                np.matmul(x_flat[:, :, off:off + span], g_flat_t).sum(axis=0, out=gw[i, j])
-            wn.accum(gw.transpose(3, 2, 0, 1))
+            prod = np.empty((cin, cout), dtype=g.dtype)
+            x_buf = (np.zeros((cin, hp, wp), dtype=g.dtype)
+                     if padding or x_d is None else None)
         if xn.requires_grad:
             # grad-x owns its memory, so accum keeps it without a copy
             gx = np.zeros((n, cin, h, w), dtype=g.dtype)
             pad = np.empty((cin, hp, wp), dtype=g.dtype) if padding else None
             g_tap = np.empty((cin, span), dtype=g.dtype)
-            for b in range(n):
+        g_wide = np.zeros((cout, hout, wp), dtype=g.dtype) if wout < wp else None
+        for b in range(n):
+            if g_wide is None:
+                g_flat = np.ascontiguousarray(g[b]).reshape(cout, span)
+            else:
+                g_wide[..., :wout] = g[b]
+                g_flat = g_wide.reshape(cout, hout * wp)[:, :span]
+            if wn.requires_grad:
+                x_flat = _conv_image(x_d, b, x_buf, padding, rebuild)
+                g_flat_t = g_flat.T
+                for i, j, off in taps:
+                    # images summed in batch order, as .sum(axis=0) of their stack is
+                    if b == 0:
+                        np.matmul(x_flat[:, off:off + span], g_flat_t, out=gw[i, j])
+                    else:
+                        gw[i, j] += np.matmul(x_flat[:, off:off + span], g_flat_t, out=prod)
+            if xn.requires_grad:
                 if padding:
                     pad.fill(0)
                 acc = (pad if padding else gx[b]).reshape(cin, hp * wp)
                 for i, j, off in taps:
-                    acc[:, off:off + span] += np.matmul(w_taps[i, j].T, g_flat[b], out=g_tap)
+                    acc[:, off:off + span] += np.matmul(w_taps[i, j].T, g_flat, out=g_tap)
                 if padding:
                     gx[b] = pad[:, padding:padding + h, padding:padding + w]
+        if wn.requires_grad:
+            wn.accum(gw.transpose(3, 2, 0, 1))
+        if xn.requires_grad:
             xn.accum(gx)
 
     return Tensor._make(out_data, parents, bw)
@@ -983,6 +1050,10 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: RunningMoments,
     allocates two activation-sized arrays, ``xhat`` and the output, and the
     backward closure holds ``xhat`` only; a backward allocates two more.
     Nothing is written in place into ``x.data`` or the incoming gradient.
+    The output's node carries a rebuild, which writes image `b` of the
+    output into a given buffer from ``xhat``, gamma and beta, with the
+    forward's two operations in their order, so a conv fed by this output
+    (or a relu of it) need not store its input.
     """
     if x.ndim != 4:
         raise DimensionError(f"batchnorm2d input must be 4D, got shape {x.shape}")
@@ -1005,10 +1076,16 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: RunningMoments,
     ivar = (1.0 / np.sqrt(var + eps)).reshape(1, c, 1, 1)
     xhat *= ivar
     np.multiply(g_d, xhat, out=out_data)
-    out_data += beta.data.reshape(1, c, 1, 1)
+    beta_d = beta.data.reshape(1, c, 1, 1)
+    out_data += beta_d
     state.mean[:] = (1.0 - momentum) * state.mean + momentum * mean
     unbias = m / (m - 1)
     state.var[:] = (1.0 - momentum) * state.var + momentum * var * unbias
+
+    def rebuild(b, out):
+        np.multiply(g_d[0], xhat[b], out=out)
+        out += beta_d[0]
+        return out
 
     def bw(g):
         if bn.requires_grad:
@@ -1027,7 +1104,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: RunningMoments,
             dxhat *= ivar
             xn.accum(dxhat)
 
-    return Tensor._make(out_data, (xn, gn, bn), bw)
+    return Tensor._make(out_data, (xn, gn, bn), bw, rebuild)
 
 
 # -- tensor container file (TNS1) -------------------------------------------

@@ -284,6 +284,8 @@ def train(arch: ArchConfig, train_ds: D.Dataset, val_ds: D.Dataset,
                     s = D.augment(s, rng, aug_cfg)
                 samples.append(s)
             x, targets = _assemble(samples)
+            # drop the previous step's grads first, so the forward peak does not hold them
+            store.zero_grads()
             logits = forward(store, x, training=True)
             loss = loss_fn(logits, targets)
             val = loss.item()
@@ -291,7 +293,6 @@ def train(arch: ArchConfig, train_ds: D.Dataset, val_ds: D.Dataset,
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {batches}, lr {lr:.3e}"
                 )
-            store.zero_grads()
             loss.backward()
             adam_step(store, state, lr, train_cfg)
             loss_sum += val

@@ -422,6 +422,17 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error: infer.limit must be >= 0")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("cmd, key", [
+        ("train", "train.seed"),
+        ("synth", "data.phantom.seed"),
+        ("gradcheck", "gradcheck.seed"),
+    ])
+    def test_negative_seed_exits_1(self, cmd, key, tmp_path, capsys):
+        rc = main([cmd, "--out", str(tmp_path / "out"), "--set", f"{key}=-1"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"config error: {key} must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_dataset_exits_1(self, capsys):
         rc = main(["train", "--out", "/tmp/unused-cacseg"])
         assert rc == 1

@@ -285,6 +285,79 @@ class TestConv2d:
         assert peak <= 2 * x.data.nbytes, \
             f"backward peaks at {peak / x.data.nbytes:.2f}x the grad-x bytes"
 
+    def test_padding_builds_no_full_batch_copy(self):
+        # 16 -> 1 channel, so a padded copy of the batch outweighs the
+        # output, and 16 images, so it outweighs the one-image scratch
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.standard_normal((16, 16, 16, 16)).astype(np.float32),
+                   requires_grad=True)
+        w = Tensor(rng.standard_normal((1, 16, 3, 3)).astype(np.float32),
+                   requires_grad=True)
+        g = rng.standard_normal((16, 1, 16, 16)).astype(np.float32)
+        padded_bytes = 16 * 16 * 18 * 18 * 4
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            y = T.conv2d(x, w, padding=1)
+            forward_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            y._backward_fn(g)
+            backward_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert forward_peak - y.data.nbytes < padded_bytes / 2, \
+            f"forward peaks {forward_peak / padded_bytes:.2f}x a padded batch above its output"
+        extra = backward_peak - y.data.nbytes - x.grad.nbytes
+        assert extra < padded_bytes / 2, \
+            f"backward peaks {extra / padded_bytes:.2f}x a padded batch above output and grad-x"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_bn_relu_conv_grads_match_the_stored_input(self, padding, dtype):
+        # reshape's output carries no rebuild, so the second conv stores
+        # its input where the first rebuilds it from batch norm's xhat
+        rng = np.random.default_rng(17)
+        x0 = rng.standard_normal((3, 4, 9, 10)).astype(dtype)
+        w0 = rng.standard_normal((5, 4, 3, 3)).astype(dtype)
+        gamma0, beta0 = rng.standard_normal(4).astype(dtype), rng.standard_normal(4).astype(dtype)
+        g = rng.standard_normal((3, 5, 9 - 2 + 2 * padding, 10 - 2 + 2 * padding)).astype(dtype)
+        grads = []
+        for stored in (False, True):
+            x, w = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
+            gamma, beta = Tensor(gamma0, requires_grad=True), Tensor(beta0, requires_grad=True)
+            a = T.relu(T.batchnorm2d(x, gamma, beta, RunningMoments(4, dtype)))
+            if stored:
+                a = a.reshape(a.shape)
+            assert (a._node.rebuild is None) == stored
+            y = T.conv2d(a, w, padding=padding)
+            out = y.data.tobytes()
+            (y * Tensor(g)).sum().backward()
+            grads.append([out] + [t.grad.tobytes() for t in (x, w, gamma, beta)])
+        assert grads[0] == grads[1]
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_bn_relu_conv_holds_one_activation(self, padding):
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.standard_normal((16, 8, 32, 32)).astype(np.float32),
+                   requires_grad=True)
+        gamma = Tensor(np.ones(8, np.float32), requires_grad=True)
+        beta = Tensor(np.zeros(8, np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 8, 3, 3)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            a = T.relu(T.batchnorm2d(x, gamma, beta, RunningMoments(8)))
+            loss = T.conv2d(a, w, padding=padding).sum()
+            del a
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held < 1.5 * x.data.nbytes, \
+            f"{held / x.data.nbytes:.2f} activations held when backward starts"
+        loss.backward()
+        assert all(t.grad is not None for t in (x, gamma, beta, w))
+
     def test_channel_mismatch_names_operand(self):
         x = Tensor(np.zeros((1, 3, 4, 4), np.float32))
         w = Tensor(np.zeros((2, 4, 3, 3), np.float32))

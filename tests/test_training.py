@@ -196,6 +196,19 @@ class TestTrainLoop:
         b = forward(again, x).data
         assert a.tobytes() == b.tobytes()
 
+    def test_no_grad_is_held_while_a_step_runs_its_forward(self, tiny_dataset, tmp_path,
+                                                          monkeypatch):
+        held = []
+
+        def recording_forward(store, x, training):
+            if training:
+                held.append([name for name, t in store.items() if t.grad is not None])
+            return forward(store, x, training=training)
+        monkeypatch.setattr(TR, "forward", recording_forward)
+        TR.train(TINY_ARCH, tiny_dataset, tiny_dataset, LossConfig(),
+                 quick_cfg(epochs=1), tmp_path, aug_cfg=D.AugmentConfig(enabled=False))
+        assert held == [[], []]
+
     def test_validation_dice_columns_in_unit_range(self, tiny_dataset, tmp_path):
         result = TR.train(TINY_ARCH, tiny_dataset, tiny_dataset, LossConfig(),
                           quick_cfg(epochs=2, seed=9), tmp_path, aug_cfg=TINY_AUG)

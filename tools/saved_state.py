@@ -7,9 +7,13 @@ under tracemalloc, then walks the recorded graph from the loss. Every
 array a closure captures, directly or in a tuple or list, is charged to
 its underlying buffer (a view counts as the array it views), and each
 buffer once: to the first op, in backward order, whose closure holds it.
-It prints, per op, the closures counted and the MiB they hold, then the
-total, the traced memory when backward starts and the traced peak of the
-backward pass above its start.
+A closure also holds what the functions in its cells hold (a conv's
+rebuild of its input), followed to any depth; a buffer reached only that
+way is charged after every directly held one, so it lands on the op that
+holds it directly when there is one. It prints, per op, the closures
+counted and the MiB they hold, then the total, the traced memory when
+backward starts, the traced peak of the forward and loss above their
+start and the traced peak of the backward pass above its start.
 
     python3 tools/saved_state.py <checkout>
 
@@ -23,6 +27,7 @@ import sys
 import tracemalloc
 from collections import defaultdict
 from pathlib import Path
+from types import FunctionType
 
 import numpy as np
 
@@ -38,12 +43,19 @@ def _buffer(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _arrays(value):
+def _arrays(value, functions: list):
+    """The arrays in `value`; the functions met are appended to `functions`."""
     if isinstance(value, np.ndarray):
         yield value
     elif isinstance(value, (tuple, list)):
         for item in value:
-            yield from _arrays(item)
+            yield from _arrays(item, functions)
+    elif isinstance(value, FunctionType):
+        functions.append(value)
+
+
+def _cells(fn):
+    return [cell.cell_contents for cell in fn.__closure__ or ()]
 
 
 def _op_name(fn) -> str:
@@ -54,6 +66,15 @@ def saved_state(root) -> tuple[dict, dict]:
     """({op: MiB}, {op: closures}) of the graph behind the node `root`."""
     held, closures = defaultdict(float), defaultdict(int)
     seen_nodes, seen_buffers = set(), set()
+    indirect = []   # (op, function) met in a closure cell, in backward order
+
+    def charge(op, values, functions):
+        for arr in _arrays(values, functions):
+            buf = _buffer(arr)
+            if id(buf) not in seen_buffers:
+                seen_buffers.add(id(buf))
+                held[op] += buf.nbytes / MIB
+
     stack = [root]
     while stack:
         node = stack.pop()
@@ -65,13 +86,18 @@ def saved_state(root) -> tuple[dict, dict]:
             continue
         op = _op_name(fn)
         closures[op] += 1
-        for cell in fn.__closure__ or ():
-            for arr in _arrays(cell.cell_contents):
-                buf = _buffer(arr)
-                if id(buf) not in seen_buffers:
-                    seen_buffers.add(id(buf))
-                    held[op] += buf.nbytes / MIB
+        functions = []
+        charge(op, _cells(fn), functions)
+        indirect += [(op, f) for f in functions]
         stack.extend(reversed(node._parents))
+    seen_functions = set()
+    for op, fn in indirect:
+        functions = [fn]
+        while functions:
+            fn = functions.pop()
+            if id(fn) not in seen_functions:
+                seen_functions.add(id(fn))
+                charge(op, _cells(fn), functions)
     return held, closures
 
 
@@ -95,7 +121,7 @@ def step(levels: int, base: int, batch: int, side: int) -> None:
     try:
         base_mem = tracemalloc.get_traced_memory()[0]
         loss = loss_fn(forward(store, x, training=True), target)
-        start = tracemalloc.get_traced_memory()[0]
+        start, forward_peak = tracemalloc.get_traced_memory()
         held, closures = saved_state(loss._node)
         tracemalloc.reset_peak()
         loss.backward()
@@ -108,6 +134,7 @@ def step(levels: int, base: int, batch: int, side: int) -> None:
         print(f"{op:<22} {closures[op]:>8} {held[op]:>9.1f}")
     print(f"{'total':<22} {sum(closures.values()):>8} {sum(held.values()):>9.1f}")
     print(f"traced memory when backward starts: {(start - base_mem) / MIB:.1f} MiB")
+    print(f"forward and loss traced peak above their start: {(forward_peak - base_mem) / MIB:.1f} MiB")
     print(f"backward traced peak above its start: {(peak - start) / MIB:.1f} MiB")
 
 
