@@ -663,25 +663,24 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 
 
 def conv2d_forward_direct(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
-                          stride: int = 1, padding: int = 0) -> np.ndarray:
-    """Plain-loop cross-correlation; the correctness-defining form.
+                          padding: int = 0) -> np.ndarray:
+    """Plain-loop cross-correlation at unit stride; the correctness-defining
+    form.
 
-    Test-scale only: the Tensor op below uses a shift-and-accumulate GEMM
-    kernel whose output must match this function bit-for-bit modulo
-    summation order.
+    Test-scale only: the tests check that the Tensor op below, a
+    shift-and-accumulate GEMM kernel, agrees with it to 1e-5.
     """
     n, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
-    hout = (h + 2 * padding - kh) // stride + 1
-    wout = (wd + 2 * padding - kw) // stride + 1
+    hout = h + 2 * padding - kh + 1
+    wout = wd + 2 * padding - kw + 1
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     out = np.zeros((n, cout, hout, wout), dtype=x.dtype)
     for ni in range(n):
         for co in range(cout):
             for i in range(hout):
                 for j in range(wout):
-                    patch = xp[ni, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
-                    out[ni, co, i, j] = np.sum(patch * w[co])
+                    out[ni, co, i, j] = np.sum(xp[ni, :, i:i + kh, j:j + kw] * w[co])
             if b is not None:
                 out[ni, co] += b[co]
     return out
@@ -699,17 +698,13 @@ def _tap_product(w_tap: np.ndarray, x_tap: np.ndarray, out: np.ndarray) -> np.nd
     return np.matmul(w_tap, x_tap, out=out)
 
 
-def _conv_image(x_d: Optional[np.ndarray], b: int, buf: Optional[np.ndarray], padding: int,
+def _conv_image(x_d: Optional[np.ndarray], b: int, buf: np.ndarray, padding: int,
                 rebuild=None) -> np.ndarray:
-    """Image `b` of a conv input as (C, Hp*Wp).
-
-    Without a one-image scratch `buf` this is ``x_d[b]`` itself, unpadded.
-    Otherwise image `b` is written into the interior of `buf`, (C, Hp, Wp),
-    whose border of `padding` zeros stays as allocated: copied from
-    ``x_d[b]``, or, when `x_d` is None, by ``rebuild(b, interior)``.
+    """Image `b` of a conv input as (C, Hp*Wp), written into the one-image
+    scratch `buf`, (C, Hp, Wp), whose border of `padding` zeros the caller
+    keeps: copied from ``x_d[b]``, or, when `x_d` is None, by
+    ``rebuild(b, interior)``. Every padding, 0 included, takes this path.
     """
-    if buf is None:
-        return x_d[b].reshape(x_d.shape[1], -1)
     c, hp, wp = buf.shape
     interior = buf[:, padding:hp - padding, padding:wp - padding]
     if x_d is None:
@@ -727,24 +722,28 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     padded and flattened to (C, Hp*Wp), the input of kernel tap (i, j) for
     every output pixel is the one slice starting at i*Wp + j, and output
     pixel (r, c) sits at r*Wp + c. So each tap is one GEMM per image,
-    ``W[:, :, i, j] @ slice``, accumulated into an output of row pitch Wp
-    whose last Wp - Wout columns per row are junk and dropped. Backward
-    uses the same slices: grad-w of a tap is ``slice @ g.T``, summed over
-    the images in batch order, and grad-x adds ``W[:, :, i, j].T @ g`` into
-    the slice of one image's zeroed padded buffer, whose interior is then
-    copied into grad-x. `g` is widened to row pitch Wp one image at a time.
+    ``W[:, :, i, j] @ slice``, accumulated into a (Cout, Hout, Wp) scratch
+    whose first Wout columns are copied out; the last Wp - Wout columns
+    per row are junk. Backward uses the same slices: grad-w of a tap is
+    ``slice @ g.T``, summed over the images in batch order, and grad-x adds
+    ``W[:, :, i, j].T @ g`` into the slice of one image's zeroed padded
+    buffer, whose interior is then copied into grad-x. `g` is widened to
+    row pitch Wp one image at a time.
 
-    Every pass works one image at a time: each image is padded into a
-    one-image scratch, and no full-batch padded copy, accumulator or
-    widened gradient is built. No column buffer is built either. The
-    backward closure holds the weight and the unpadded input, or not even
-    the input when its node carries a rebuild (the output of batch norm,
-    or a relu of one): then backward writes each image back into the
-    scratch from the state batch norm keeps anyway, with the same
-    operations in the same order, so the bytes are those of the forward's
-    input (recompute over store, Chen et al., arXiv:1604.06174). That
-    relies on no parameter being written between a forward and its
-    backward.
+    Every pass works one image at a time, on the same path at every
+    padding and kernel size, a 1x1 conv included. The forward writes each
+    image into one zero-bordered (Cin, Hp, Wp) scratch. The backward has
+    one such scratch too: per image it is zeroed and takes the input for
+    grad-w, then is zeroed again and accumulates grad-x. No full-batch
+    padded copy, accumulator or widened gradient is built, and no column
+    buffer either. The backward closure holds the weight and the unpadded
+    input, or not even the input when its node carries a rebuild (the
+    output of batch norm, or a relu of one): then backward writes each
+    image back into the scratch from the state batch norm keeps anyway,
+    with the same operations in the same order, so the bytes are those of
+    the forward's input (recompute over store, Chen et al.,
+    arXiv:1604.06174). That relies on no parameter being written between a
+    forward and its backward.
 
     The taps of one image run back to back, so its accumulator stays in
     cache, and an image's output does not depend on the batch it came in.
@@ -777,21 +776,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     dtype = x.dtype if bias is None else np.result_type(x.dtype, bias.dtype)
     out_data = np.empty((n, cout, hout, wout), dtype=dtype)
-    buf = np.zeros((cin, hp, wp), dtype=x.dtype) if padding else None
-    # with junk columns, an image accumulates in a scratch; else in place
-    wide = np.empty((cout, hout * wp), dtype=x.dtype) if wout < wp else None
+    buf = np.zeros((cin, hp, wp), dtype=x.dtype)
+    wide = np.empty((cout, hout, wp), dtype=x.dtype)
+    acc = wide.reshape(cout, hout * wp)[:, :span]
     tmp = np.empty((cout, span), dtype=x.dtype)
     for b in range(n):
         x_flat = _conv_image(x.data, b, buf, padding)
-        acc = out_data[b].reshape(cout, span) if wide is None else wide[:, :span]
         for t, (i, j, off) in enumerate(taps):
             x_tap = x_flat[:, off:off + span]
             if t == 0:
                 _tap_product(w_taps[i, j], x_tap, acc)
             else:
                 acc += _tap_product(w_taps[i, j], x_tap, tmp)
-        if wide is not None:
-            out_data[b] = wide.reshape(cout, hout, wp)[..., :wout]
+        out_data[b] = wide[..., :wout]
         if bias is not None:
             out_data[b] += bias.data.reshape(cout, 1, 1)
 
@@ -807,23 +804,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         if wn.requires_grad:
             gw = np.empty((kh, kw, cin, cout), dtype=g.dtype)
             prod = np.empty((cin, cout), dtype=g.dtype)
-            x_buf = (np.zeros((cin, hp, wp), dtype=g.dtype)
-                     if padding or x_d is None else None)
         if xn.requires_grad:
             # grad-x owns its memory, so accum keeps it without a copy
-            gx = np.zeros((n, cin, h, w), dtype=g.dtype)
-            pad = np.empty((cin, hp, wp), dtype=g.dtype) if padding else None
+            gx = np.empty((n, cin, h, w), dtype=g.dtype)
             g_tap = np.empty((cin, span), dtype=g.dtype)
-        g_wide = np.zeros((cout, hout, wp), dtype=g.dtype) if wout < wp else None
+        pad = np.empty((cin, hp, wp), dtype=g.dtype)
+        pad_flat = pad.reshape(cin, hp * wp)
+        g_wide = np.zeros((cout, hout, wp), dtype=g.dtype)
+        g_flat = g_wide.reshape(cout, hout * wp)[:, :span]
+        g_flat_t = g_flat.T
         for b in range(n):
-            if g_wide is None:
-                g_flat = np.ascontiguousarray(g[b]).reshape(cout, span)
-            else:
-                g_wide[..., :wout] = g[b]
-                g_flat = g_wide.reshape(cout, hout * wp)[:, :span]
+            g_wide[..., :wout] = g[b]
             if wn.requires_grad:
-                x_flat = _conv_image(x_d, b, x_buf, padding, rebuild)
-                g_flat_t = g_flat.T
+                pad.fill(0)
+                x_flat = _conv_image(x_d, b, pad, padding, rebuild)
                 for i, j, off in taps:
                     # images summed in batch order, as .sum(axis=0) of their stack is
                     if b == 0:
@@ -831,13 +825,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                     else:
                         gw[i, j] += np.matmul(x_flat[:, off:off + span], g_flat_t, out=prod)
             if xn.requires_grad:
-                if padding:
-                    pad.fill(0)
-                acc = (pad if padding else gx[b]).reshape(cin, hp * wp)
+                pad.fill(0)
                 for i, j, off in taps:
-                    acc[:, off:off + span] += np.matmul(w_taps[i, j].T, g_flat, out=g_tap)
-                if padding:
-                    gx[b] = pad[:, padding:padding + h, padding:padding + w]
+                    pad_flat[:, off:off + span] += np.matmul(w_taps[i, j].T, g_flat, out=g_tap)
+                gx[b] = pad[:, padding:padding + h, padding:padding + w]
         if wn.requires_grad:
             wn.accum(gw.transpose(3, 2, 0, 1))
         if xn.requires_grad:
@@ -996,12 +987,6 @@ class RunningMoments:
     def __init__(self, channels: int, dtype=np.float32):
         self.mean = np.zeros(channels, dtype=dtype)
         self.var = np.ones(channels, dtype=dtype)
-
-    def copy(self) -> "RunningMoments":
-        m = RunningMoments.__new__(RunningMoments)
-        m.mean = self.mean.copy()
-        m.var = self.var.copy()
-        return m
 
     def to_double(self) -> "RunningMoments":
         m = RunningMoments.__new__(RunningMoments)

@@ -28,6 +28,12 @@ def t64(arr, requires_grad=True):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=requires_grad)
 
 
+def copy_moments(state: RunningMoments) -> RunningMoments:
+    m = RunningMoments(len(state.mean), state.mean.dtype)
+    m.mean[:], m.var[:] = state.mean, state.var
+    return m
+
+
 # id: (input shape, kh, kw, padding), 4 output channels. The first four ids
 # read stride-padding-kh-kw; conv2d has unit stride only.
 CONV_CASES = {
@@ -285,6 +291,31 @@ class TestConv2d:
         assert peak <= 2 * x.data.nbytes, \
             f"backward peaks at {peak / x.data.nbytes:.2f}x the grad-x bytes"
 
+    def test_backward_keeps_one_padded_scratch(self):
+        # grad-w's input and grad-x's accumulator share one padded image
+        n, cin, cout, side = 2, 32, 16, 64
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.standard_normal((n, cin, side, side)).astype(np.float32),
+                   requires_grad=True)
+        w = Tensor(rng.standard_normal((cout, cin, 3, 3)).astype(np.float32),
+                   requires_grad=True)
+        g = rng.standard_normal((n, cout, side, side)).astype(np.float32)
+        y = T.conv2d(x, w, padding=1)
+        wp = side + 2
+        padded_image = cin * wp * wp * 4
+        # grad-x, one widened-g image and g_tap
+        known = x.data.nbytes + cout * side * wp * 4 + cin * (side * wp - 2) * 4
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            y._backward_fn(g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        scratch = (peak - known) / padded_image
+        assert scratch < 1.5, f"backward keeps {scratch:.2f} padded images of scratch"
+
     def test_padding_builds_no_full_batch_copy(self):
         # 16 -> 1 channel, so a padded copy of the batch outweighs the
         # output, and 16 images, so it outweighs the one-image scratch
@@ -434,7 +465,7 @@ class TestBatchNorm:
         state = RunningMoments(c, dtype=dtype)
         state.mean[:] = rng.standard_normal(c)
         state.var[:] = rng.uniform(0.5, 2.0, c)
-        ref_state = state.copy()
+        ref_state = copy_moments(state)
         want = batchnorm2d_plain(x, gamma, beta, ref_state, True, g)
 
         xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
@@ -461,8 +492,8 @@ class TestBatchNorm:
         state = RunningMoments(c, dtype=dtype)
         state.mean[:] = rng.standard_normal(c)
         state.var[:] = rng.uniform(0.5, 2.0, c)
-        stored = state.copy()
-        want = batchnorm2d_plain(x, gamma, beta, stored.copy(), False, g)
+        stored = copy_moments(state)
+        want = batchnorm2d_plain(x, gamma, beta, copy_moments(stored), False, g)
 
         xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
         x_before, g_before = x.copy(), g.copy()

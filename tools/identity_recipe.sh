@@ -5,6 +5,10 @@
 # Run it once on each of two checkouts, each into its own empty <out>; the two
 # SHA256SUMS then compare with one `diff`.
 #
+# Trained bytes of the 128x128 leg depend on the BLAS thread count, so the
+# recipe pins it: OPENBLAS_NUM_THREADS as set by the caller, else 1. Run both
+# checkouts at the same count.
+#
 # Each resolved.cfg records the output directory it was written to, so it
 # is hashed with <out> replaced by the literal string "<out>".
 #
@@ -25,6 +29,7 @@ fi
 
 cd "$checkout"
 export PYTHONPATH="$checkout/src"
+export OPENBLAS_NUM_THREADS="${OPENBLAS_NUM_THREADS:-1}"
 C() { python3 -m cacseg.cli "$@" > /dev/null; }
 
 C synth --config configs/overfit.cfg --out "$O/ph-overfit"
@@ -37,6 +42,19 @@ C train --config configs/overfit.cfg --set train.epochs=8 \
 C synth --config configs/desk64-phantom.cfg --set data.phantom.slices=48 --out "$O/ph-desk"
 C train --config configs/desk64-train.cfg --set train.epochs=2 \
     --set data.train_dir="$O/ph-desk" --set data.val_dir="$O/ph-desk" --out "$O/desk"
+# a deep128-shaped leg: 128x128 slices with lesion areas scaled by 4, an
+# L4 net of base 16 (convs up to 256 channels) at batch 4, then a resume
+deep=(--set arch.levels=4 --set arch.base_channels=16 --set train.batch_size=4
+      --set data.augment=false)
+C synth --config configs/desk64-phantom.cfg --set data.phantom.slices=8 \
+    --set data.phantom.size=128 --set data.phantom.px_lm=20,56 \
+    --set data.phantom.px_lad=40,160 --set data.phantom.px_lcx=40,160 \
+    --set data.phantom.px_rca=48,180 --out "$O/ph-deep"
+C train --config configs/desk64-train.cfg "${deep[@]}" --set train.epochs=2 \
+    --set data.train_dir="$O/ph-deep" --set data.val_dir="$O/ph-deep" --out "$O/deep"
+C train --config configs/desk64-train.cfg "${deep[@]}" --set train.epochs=3 \
+    --set train.resume="$O/deep/last.rckp" \
+    --set data.train_dir="$O/ph-deep" --set data.val_dir="$O/ph-deep" --out "$O/deep-resume"
 # the other three loss variants, FocalLogDice without attention, FocalLogDice
 # with combo weights that do not sum to 1, and a run with dataclass-backed
 # keys away from their defaults (the rotation angles and blur radii among them)
@@ -60,14 +78,19 @@ for run in CE Focal FocalDice noca weights nondefault; do
         --set data.test_dir="$O/ph-overfit" --out "$O/eval-overfit-$run"
 done
 
-for run in overfit desk; do
-    if [ "$run" = overfit ]; then cfg=configs/overfit.cfg; else cfg=configs/desk64-train.cfg; fi
+for run in overfit desk deep; do
+    sets=()
+    case $run in
+        overfit) cfg=configs/overfit.cfg ;;
+        desk) cfg=configs/desk64-train.cfg ;;
+        deep) cfg=configs/desk64-train.cfg; sets=("${deep[@]}") ;;
+    esac
     phantom="$O/ph-$run"
     for ps in false true; do
-        C eval --config "$cfg" --set eval.checkpoint="$O/$run/last.rckp" \
+        C eval --config "$cfg" "${sets[@]}" --set eval.checkpoint="$O/$run/last.rckp" \
             --set data.test_dir="$phantom" --set eval.per_slice=$ps --out "$O/eval-$run-$ps"
     done
-    C infer --config "$cfg" --set infer.checkpoint="$O/$run/last.rckp" \
+    C infer --config "$cfg" "${sets[@]}" --set infer.checkpoint="$O/$run/last.rckp" \
         --set infer.input_dir="$phantom" --set infer.limit=5 --out "$O/infer-$run"
 done
 # a short last batch: 5 slices forwarded as 3 + 2
