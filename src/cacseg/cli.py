@@ -29,7 +29,7 @@ from .losses import resolve_variant
 # eval forwards run in training.predict; forward stays importable here
 # because perfbench's per-layer tracer wraps it at this module.
 from .network import forward, load_model  # noqa: F401
-from .tensor import load_tns, write_atomic
+from .params import load_tns, write_atomic
 
 
 def _out_dir(args) -> Path:

@@ -21,7 +21,7 @@ from .data import NUM_CLASSES, AugmentConfig, PhantomSpec
 from .errors import ConfigError
 from .losses import VARIANTS, LossConfig, class_weights_from_counts
 from .network import ArchConfig
-from .tensor import write_atomic
+from .params import write_atomic
 from .training import TrainConfig
 
 RESOLVED_NAME = "resolved.cfg"

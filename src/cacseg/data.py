@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataIOError, LabelError
-from .tensor import load_tns, save_tns, write_atomic
+from .params import load_tns, save_tns, write_atomic
 
 HU_LO = -150.0
 HU_HI = 230.0

@@ -15,7 +15,7 @@ import numpy as np
 from .data import (CLASS_NAMES, LESION_CLASSES, NUM_CLASSES, VESSELS, check_labels,
                    hu_normalize)
 from .errors import ConfigError, DimensionError
-from .tensor import save_tns, write_atomic
+from .params import save_tns, write_ppm
 
 # class -> RGB for overlays: background, bone, LM red, LAD amber,
 # LCX green, RCA blue
@@ -178,11 +178,14 @@ def agatston_per_lesion(mask, hu_image, pixel_area_mm2: float) -> LesionScoreRep
     Connected components (4-connectivity) of each vessel class whose peak
     HU reaches 130 contribute area_mm2 * weight, with the clinical weight
     bins 1..4. Components below MIN_COMPONENT_MM2 are ignored. Each
-    vessel sums its components in raster order of their first pixel.
+    vessel sums its components in raster order of their first pixel. The
+    mask must be (H,W); the HU image (H,W) or (1,H,W).
     """
     if pixel_area_mm2 <= 0:
         raise ConfigError(f"pixel_area_mm2 must be > 0, got {pixel_area_mm2}")
     mask = check_labels(mask).astype(np.intp, copy=False)
+    if mask.ndim != 2:
+        raise DimensionError(f"mask must be (H,W), got shape {mask.shape}")
     hu = _hu_plane(hu_image, mask.shape)
     lesion = np.where(_IS_LESION[mask], mask, 0)
     rows = np.flatnonzero(lesion.any(axis=1))
@@ -220,13 +223,6 @@ def logits_to_mask(logits: np.ndarray) -> np.ndarray:
             f"logits must be ({NUM_CLASSES},H,W), got shape {logits.shape}"
         )
     return logits.argmax(axis=0).astype(np.uint8)
-
-
-def write_ppm(path, rgb: np.ndarray) -> None:
-    if rgb.ndim != 3 or rgb.shape[2] != 3 or rgb.dtype != np.uint8:
-        raise DimensionError("PPM payload must be uint8 (H,W,3)")
-    h, w = rgb.shape[:2]
-    write_atomic(path, f"P6\n{w} {h}\n255\n".encode("ascii") + rgb.tobytes(order="C"))
 
 
 def export_prediction(logits, dest_stem, hu_image=None) -> tuple:

@@ -1,24 +1,32 @@
-"""Named, ordered parameter collection plus checkpoint serialization.
+"""Named, ordered parameter collection, plus the kit's file formats.
 
 A ParameterStore maps unique names to trainable tensors and holds the
 batch-norm running moments separately. Iteration order is insertion
 order, which the builders keep deterministic, so a fixed seed always
 produces a bit-identical store.
 
-Checkpoint container (RCKP): magic "RCKP", u32 version, u32 entry count,
-then per entry a u16 name length, the UTF-8 name, and an embedded TNS1
-tensor. Round trips are bit-exact.
+The kit's file formats live here too: TNS1 tensors (see `tns_encode`),
+RCKP checkpoints and PPM overlays, each written through the one atomic
+writer, `write_atomic`, as is every other output file. Checkpoint
+container (RCKP): magic "RCKP", u32 version, u32 entry count, then per
+entry a u16 name length, the UTF-8 name, and an embedded TNS1 tensor.
+TNS1 and RCKP round trips are bit-exact.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
+from contextlib import suppress
 
 import numpy as np
 
-from .errors import ContractError, DataIOError
-from .tensor import RunningMoments, Tensor, tns_decode, tns_encode, write_atomic
+from .errors import ContractError, DataIOError, DimensionError, NumericError
+from .tensor import RunningMoments, Tensor
 
+_TNS_MAGIC = b"TNS1"
+_DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("u1")}
 _RCKP_MAGIC = b"RCKP"
 _RCKP_VERSION = 1
 
@@ -88,9 +96,10 @@ class ParameterStore:
         """64-bit shadow copy for the gradient checker's reference path."""
         out = ParameterStore()
         for name, t in self._params.items():
-            out._params[name] = t.to_double()
+            out.add_param(name, t.data.astype(np.float64))
         for name, m in self._moments.items():
-            out._moments[name] = m.to_double()
+            moments = out.add_moments(name, m.mean.size)
+            moments.mean, moments.var = m.mean.astype(np.float64), m.var.astype(np.float64)
         out.arch = self.arch
         return out
 
@@ -137,6 +146,100 @@ def take_entry(entries: dict[str, np.ndarray], key: str, like: np.ndarray,
     if bad:
         raise error(f"{key} with finite values ({bad} of {arr.size} are not)")
     return arr.astype(like.dtype, copy=True)
+
+
+# -- file formats ------------------------------------------------------------
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to `<path>.tmp`, then rename it over `path`.
+
+    A failed write leaves `path` as it was and removes the temporary file.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except OSError as e:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise DataIOError(f"cannot write {path}: {e}") from e
+
+
+def tns_encode(arr: np.ndarray) -> bytes:
+    """Serialize an array to TNS1 bytes: magic, dtype code, rank, u32 LE
+    extents, row-major payload."""
+    arr = np.ascontiguousarray(arr)
+    if arr.dtype.kind == "f":
+        payload = arr.astype("<f4", copy=False)
+        code = 0
+    elif arr.dtype.kind in ("u", "i"):
+        if arr.dtype != np.uint8 and arr.size and (arr.min() < 0 or arr.max() > 255):
+            raise DataIOError("integer payload out of u8 range")
+        payload = arr.astype("u1", copy=False)
+        code = 1
+    else:
+        raise DataIOError(f"unsupported dtype {arr.dtype}")
+    if arr.ndim > 255:
+        raise DataIOError("rank exceeds format limit")
+    head = _TNS_MAGIC + struct.pack("<BB", code, arr.ndim)
+    head += struct.pack(f"<{arr.ndim}I", *arr.shape)
+    return head + payload.tobytes(order="C")
+
+
+def tns_decode(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
+    """Parse one TNS1 record starting at `offset`; returns (array, end).
+
+    Every read is bounds-checked: a short or corrupt record raises
+    DataIOError, never a struct or numpy error.
+    """
+    if buf[offset:offset + 4] != _TNS_MAGIC:
+        raise DataIOError("not a TNS1 container")
+    head = offset + 6
+    if head > len(buf):
+        raise DataIOError("TNS1 header truncated")
+    code, rank = struct.unpack_from("<BB", buf, offset + 4)
+    if code not in _DTYPE_CODES:
+        raise DataIOError(f"unknown dtype code {code}")
+    start = head + 4 * rank
+    if start > len(buf):
+        raise DataIOError("TNS1 extents truncated")
+    dims = struct.unpack_from(f"<{rank}I", buf, head)
+    dtype = _DTYPE_CODES[code]
+    count = math.prod(dims)
+    end = start + count * dtype.itemsize
+    if end > len(buf):
+        raise DataIOError("TNS1 payload truncated")
+    arr = np.frombuffer(buf, dtype=dtype, count=count, offset=start).reshape(dims)
+    if code == 0:
+        arr = arr.astype(np.float32)
+    else:
+        arr = arr.copy()
+    return arr, end
+
+
+def save_tns(path, arr: np.ndarray) -> None:
+    """Write an array as a TNS1 container file (bit-exact round trip)."""
+    write_atomic(path, tns_encode(arr))
+
+
+def load_tns(path) -> np.ndarray:
+    """Read a TNS1 container file; f32 payloads are checked for finiteness."""
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError as e:
+        raise DataIOError(f"cannot read {path}: {e}") from e
+    try:
+        arr, end = tns_decode(raw, 0)
+    except DataIOError as e:
+        raise DataIOError(f"{path}: {e.args[0] if e.args else e}") from e
+    if end != len(raw):
+        raise DataIOError(f"{path} has {len(raw) - end} trailing bytes")
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise NumericError(f"{path} contains non-finite values")
+    return arr
 
 
 def save_checkpoint(path, entries: dict[str, np.ndarray]) -> None:
@@ -196,3 +299,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     if offset != len(raw):
         raise DataIOError(f"{path} has {len(raw) - offset} trailing bytes")
     return entries
+
+
+def write_ppm(path, rgb: np.ndarray) -> None:
+    if rgb.ndim != 3 or rgb.shape[2] != 3 or rgb.dtype != np.uint8:
+        raise DimensionError("PPM payload must be uint8 (H,W,3)")
+    h, w = rgb.shape[:2]
+    write_atomic(path, f"P6\n{w} {h}\n255\n".encode("ascii") + rgb.tobytes(order="C"))

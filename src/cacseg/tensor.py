@@ -29,23 +29,19 @@ goes: once a node's closure has run, the node drops its gradient, its
 closure, its inputs and its rebuild, so saved arrays are freed as soon
 as their last consumer is done. When ``backward`` returns only leaf
 grads remain, and a second ``backward`` through the released graph
-raises ``ContractError``.
+raises ``ContractError``. The file formats live in ``params``.
 """
 
 from __future__ import annotations
 
-import math
-import os
-import struct
 import weakref
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (
     ContractError,
-    DataIOError,
     DegenerateBatchError,
     DimensionError,
     NumericError,
@@ -69,11 +65,6 @@ __all__ = [
     "directional_avgpool",
     "batchnorm2d",
     "fold_batchnorm",
-    "write_atomic",
-    "save_tns",
-    "load_tns",
-    "tns_encode",
-    "tns_decode",
 ]
 
 _grad_enabled = True
@@ -252,9 +243,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self._data)
-
-    def to_double(self) -> "Tensor":
-        return Tensor(self._data.astype(np.float64), requires_grad=self.requires_grad)
 
     def __repr__(self) -> str:
         req = ", requires_grad=True" if self.requires_grad else ""
@@ -988,12 +976,6 @@ class RunningMoments:
         self.mean = np.zeros(channels, dtype=dtype)
         self.var = np.ones(channels, dtype=dtype)
 
-    def to_double(self) -> "RunningMoments":
-        m = RunningMoments.__new__(RunningMoments)
-        m.mean = self.mean.astype(np.float64)
-        m.var = self.var.astype(np.float64)
-        return m
-
 
 def fold_batchnorm(weight: Tensor, gamma: Tensor, beta: Tensor, state: RunningMoments,
                    eps: float = 1e-5) -> tuple[Tensor, Tensor]:
@@ -1092,98 +1074,6 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: RunningMoments,
     return Tensor._make(out_data, (xn, gn, bn), bw, rebuild)
 
 
-# -- tensor container file (TNS1) -------------------------------------------
-
-_TNS_MAGIC = b"TNS1"
-_DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("u1")}
-
-
-def tns_encode(arr: np.ndarray) -> bytes:
-    """Serialize an array to TNS1 bytes: magic, dtype code, rank, u32 LE
-    extents, row-major payload."""
-    arr = np.ascontiguousarray(arr)
-    if arr.dtype.kind == "f":
-        payload = arr.astype("<f4", copy=False)
-        code = 0
-    elif arr.dtype.kind in ("u", "i"):
-        if arr.dtype != np.uint8 and arr.size and (arr.min() < 0 or arr.max() > 255):
-            raise DataIOError("integer payload out of u8 range")
-        payload = arr.astype("u1", copy=False)
-        code = 1
-    else:
-        raise DataIOError(f"unsupported dtype {arr.dtype}")
-    if arr.ndim > 255:
-        raise DataIOError("rank exceeds format limit")
-    head = _TNS_MAGIC + struct.pack("<BB", code, arr.ndim)
-    head += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return head + payload.tobytes(order="C")
-
-
-def tns_decode(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Parse one TNS1 record starting at `offset`; returns (array, end).
-
-    Every read is bounds-checked: a short or corrupt record raises
-    DataIOError, never a struct or numpy error.
-    """
-    if buf[offset:offset + 4] != _TNS_MAGIC:
-        raise DataIOError("not a TNS1 container")
-    head = offset + 6
-    if head > len(buf):
-        raise DataIOError("TNS1 header truncated")
-    code, rank = struct.unpack_from("<BB", buf, offset + 4)
-    if code not in _DTYPE_CODES:
-        raise DataIOError(f"unknown dtype code {code}")
-    start = head + 4 * rank
-    if start > len(buf):
-        raise DataIOError("TNS1 extents truncated")
-    dims = struct.unpack_from(f"<{rank}I", buf, head)
-    dtype = _DTYPE_CODES[code]
-    count = math.prod(dims)
-    end = start + count * dtype.itemsize
-    if end > len(buf):
-        raise DataIOError("TNS1 payload truncated")
-    arr = np.frombuffer(buf, dtype=dtype, count=count, offset=start).reshape(dims)
-    if code == 0:
-        arr = arr.astype(np.float32)
-    else:
-        arr = arr.copy()
-    return arr, end
-
-
-def write_atomic(path, data: bytes) -> None:
-    """Write `data` to `<path>.tmp`, then rename it over `path`.
-
-    A failed write leaves `path` as it was and removes the temporary file.
-    """
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except OSError as e:
-        with suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise DataIOError(f"cannot write {path}: {e}") from e
-
-
-def save_tns(path, arr: np.ndarray) -> None:
-    """Write an array as a TNS1 container file (bit-exact round trip)."""
-    write_atomic(path, tns_encode(arr))
-
-
-def load_tns(path) -> np.ndarray:
-    """Read a TNS1 container file; f32 payloads are checked for finiteness."""
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-    except OSError as e:
-        raise DataIOError(f"cannot read {path}: {e}") from e
-    try:
-        arr, end = tns_decode(raw, 0)
-    except DataIOError as e:
-        raise DataIOError(f"{path}: {e.args[0] if e.args else e}") from e
-    if end != len(raw):
-        raise DataIOError(f"{path} has {len(raw) - end} trailing bytes")
-    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
-        raise NumericError(f"{path} contains non-finite values")
-    return arr
+# perfbench reads these two names here; ROADMAP direction 4's benchmark change
+# deletes this line. It comes last as params imports Tensor from this module.
+from .params import load_tns, save_tns  # noqa: E402,F401

@@ -19,8 +19,8 @@ from .errors import ConfigError, ContractError, DimensionError, NumericError
 from .evaluation import dice_global
 from .losses import LossConfig, loss_by_variant
 from .network import ArchConfig, build, forward, load_model
-from .params import ParameterStore, save_checkpoint, take_entry
-from .tensor import Tensor, no_grad, write_atomic
+from .params import ParameterStore, save_checkpoint, take_entry, write_atomic
+from .tensor import Tensor, no_grad
 
 METRICS_NAME = "metrics.tsv"
 METRICS_HEADER = "\t".join(("epoch", "lr", "train_loss", *(f"dice_{v}" for v in D.VESSELS)))

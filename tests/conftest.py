@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from cacseg import data as D
-from cacseg import tensor
+from cacseg import params
 
 
 class HalfWriter:
@@ -27,7 +27,7 @@ class HalfWriter:
 
 @pytest.fixture
 def fail_atomic_writes(monkeypatch):
-    """Call the returned function to make every later `tensor.write_atomic` fail
+    """Call the returned function to make every later `params.write_atomic` fail
     half-way through its write, as a full disk would. Given a file name, only
     the writes of files of that name fail. Reads are left alone."""
     real_open = open
@@ -38,7 +38,7 @@ def fail_atomic_writes(monkeypatch):
             if "w" in mode and name in (None, Path(file).name.removesuffix(".tmp")):
                 return HalfWriter(f)
             return f
-        monkeypatch.setattr(tensor, "open", failing_open, raising=False)
+        monkeypatch.setattr(params, "open", failing_open, raising=False)
     return arm
 
 

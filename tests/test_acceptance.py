@@ -18,8 +18,8 @@ from cacseg import training as TR
 from cacseg.attention import CAConfig, ca_forward, init_ca
 from cacseg.evaluation import agatston_per_lesion, dice_per_class
 from cacseg.network import ArchConfig, build, forward, load_model
-from cacseg.params import ParameterStore, save_checkpoint
-from cacseg.tensor import Tensor, load_tns, save_tns, softmax_channel
+from cacseg.params import ParameterStore, load_tns, save_checkpoint, save_tns
+from cacseg.tensor import Tensor, softmax_channel
 
 
 def verdict(criterion: str, passed: bool, detail: str) -> None:

@@ -17,8 +17,8 @@ from cacseg.errors import ConfigError
 from cacseg.evaluation import dice_per_class, dice_per_slice_mean
 from cacseg.losses import LossConfig
 from cacseg.network import ArchConfig, build, forward
-from cacseg.params import save_checkpoint
-from cacseg.tensor import Tensor, load_tns, save_tns
+from cacseg.params import load_tns, save_checkpoint, save_tns
+from cacseg.tensor import Tensor
 
 
 BUILDERS = {ArchConfig: Config.arch, CAConfig: lambda cfg: cfg.arch().ca,
@@ -376,6 +376,18 @@ class TestCli:
         assert capsys.readouterr().err == f"label error: mask {fault}\n"
         assert not (tmp_path / "score" / "score.tsv").exists()
 
+    @pytest.mark.parametrize("shape", [(2, 64, 64), (64,), (1, 64, 64)])
+    def test_score_mask_not_2d_exits_2(self, shape, tmp_path, capsys):
+        save_tns(tmp_path / "mask.tns", np.zeros(shape, np.uint8))
+        save_tns(tmp_path / "img.tns", np.full(shape, 450.0, np.float32))
+        rc = main(["score", "--out", str(tmp_path / "score"),
+                   "--set", f"score.image={tmp_path / 'img.tns'}",
+                   "--set", f"score.mask={tmp_path / 'mask.tns'}"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"dimension error: mask must be (H,W), got shape {shape}")
+        assert not (tmp_path / "score" / "score.tsv").exists()
+
     def test_invalid_variant_exits_1(self, capsys):
         rc = main(["train", "--out", "/tmp/unused-cacseg",
                    "--set", "loss.variant=bogus"])
@@ -545,3 +557,14 @@ def test_program_modules_do_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_params_imports_first_in_a_fresh_interpreter():
+    # params imports tensor, and tensor re-exports two of params' names at
+    # its end for perfbench; both must resolve whichever module comes first
+    code = ("import cacseg.params, cacseg.tensor\n"
+            "print(cacseg.tensor.load_tns is cacseg.params.load_tns,\n"
+            "      cacseg.tensor.save_tns is cacseg.params.save_tns)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "True True"

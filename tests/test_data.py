@@ -5,7 +5,7 @@ import pytest
 
 from cacseg import data as D
 from cacseg.errors import ConfigError, DataIOError
-from cacseg.tensor import load_tns
+from cacseg.params import load_tns
 
 
 def sample_of(hu: np.ndarray, mask=None) -> D.SliceSample:

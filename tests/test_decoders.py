@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 from cacseg.cli import main
 from cacseg.data import MANIFEST_NAME, Dataset, PhantomSpec, generate_phantom
 from cacseg.errors import DataIOError
-from cacseg.params import load_checkpoint, save_checkpoint
-from cacseg.tensor import tns_decode, tns_encode
+from cacseg.params import load_checkpoint, save_checkpoint, tns_decode, tns_encode
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -5,7 +5,7 @@ import pytest
 
 from cacseg import evaluation as E
 from cacseg.errors import ConfigError, DataIOError, DimensionError, LabelError
-from cacseg.tensor import load_tns
+from cacseg.params import load_tns
 
 
 def brute_force_dice(pred, true):

@@ -19,7 +19,7 @@ from cacseg.errors import (
 from cacseg.gradcheck import check_gradients
 from cacseg.losses import LossConfig, class_weights_from_counts, loss_by_variant
 from cacseg.network import ArchConfig, build, forward
-from cacseg.params import ParameterStore
+from cacseg.params import ParameterStore, load_tns, save_tns
 from cacseg.tensor import RunningMoments, Tensor
 from plain_forms import batchnorm2d_plain, fold_tolerance
 
@@ -954,21 +954,21 @@ class TestTns:
         rng = np.random.default_rng(17)
         arr = rng.standard_normal((3, 4, 5)).astype(np.float32)
         path = tmp_path / "x.tns"
-        T.save_tns(path, arr)
-        back = T.load_tns(path)
+        save_tns(path, arr)
+        back = load_tns(path)
         assert back.dtype == np.float32
         assert back.tobytes() == arr.tobytes()
 
     def test_u8_round_trip(self, tmp_path):
         arr = np.arange(24, dtype=np.uint8).reshape(4, 6)
         path = tmp_path / "m.tns"
-        T.save_tns(path, arr)
-        np.testing.assert_array_equal(T.load_tns(path), arr)
+        save_tns(path, arr)
+        np.testing.assert_array_equal(load_tns(path), arr)
 
     def test_header_layout(self, tmp_path):
         arr = np.zeros((2, 3), np.float32)
         path = tmp_path / "h.tns"
-        T.save_tns(path, arr)
+        save_tns(path, arr)
         raw = path.read_bytes()
         assert raw[:4] == b"TNS1"
         assert raw[4] == 0 and raw[5] == 2
@@ -980,7 +980,7 @@ class TestTns:
         path = tmp_path / "bad.tns"
         path.write_bytes(b"XXXX" + b"\x00" * 10)
         with pytest.raises(DataIOError):
-            T.load_tns(path)
+            load_tns(path)
 
     def test_nonfinite_payload_rejected(self, tmp_path):
         import struct
@@ -988,4 +988,4 @@ class TestTns:
         path = tmp_path / "nan.tns"
         path.write_bytes(b"TNS1" + bytes([0, 1]) + (1).to_bytes(4, "little") + payload)
         with pytest.raises(NumericError):
-            T.load_tns(path)
+            load_tns(path)
