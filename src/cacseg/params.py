@@ -10,7 +10,8 @@ RCKP checkpoints and PPM overlays, each written through the one atomic
 writer, `write_atomic`, as is every other output file. Checkpoint
 container (RCKP): magic "RCKP", u32 version, u32 entry count, then per
 entry a u16 name length, the UTF-8 name, and an embedded TNS1 tensor.
-TNS1 and RCKP round trips are bit-exact.
+A checkpoint is streamed to disk entry by entry, never built whole in
+memory. TNS1 and RCKP round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -151,25 +152,40 @@ def take_entry(entries: dict[str, np.ndarray], key: str, like: np.ndarray,
 # -- file formats ------------------------------------------------------------
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write `data` to `<path>.tmp`, then rename it over `path`.
+def write_atomic(path, data) -> None:
+    """Write `data`, bytes or an iterable of bytes-like chunks, to
+    `<path>.tmp`, then rename it over `path`.
 
-    A failed write leaves `path` as it was and removes the temporary file.
+    Whatever fails, the write leaves `path` as it was and removes the
+    temporary file: an `OSError` is raised as `DataIOError`, any other
+    exception, such as one raised while the chunks are produced, as it is.
     """
+    chunks = (data,) if isinstance(data, (bytes, bytearray, memoryview)) else data
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
-    except OSError as e:
+    except BaseException as e:
         with suppress(FileNotFoundError):
             os.remove(tmp)
-        raise DataIOError(f"cannot write {path}: {e}") from e
+        if isinstance(e, OSError):
+            raise DataIOError(f"cannot write {path}: {e}") from e
+        raise
 
 
 def tns_encode(arr: np.ndarray) -> bytes:
     """Serialize an array to TNS1 bytes: magic, dtype code, rank, u32 LE
     extents, row-major payload."""
+    head, payload = _tns_chunks(arr)
+    return head + payload.tobytes()
+
+
+def _tns_chunks(arr: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The TNS1 record of `arr` as its header bytes and its payload as a
+    flat u8 array, which views `arr` when it is a contiguous <f4 or u1
+    array."""
     arr = np.ascontiguousarray(arr)
     if arr.dtype.kind == "f":
         payload = arr.astype("<f4", copy=False)
@@ -185,7 +201,7 @@ def tns_encode(arr: np.ndarray) -> bytes:
         raise DataIOError("rank exceeds format limit")
     head = _TNS_MAGIC + struct.pack("<BB", code, arr.ndim)
     head += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return head + payload.tobytes(order="C")
+    return head, payload.reshape(-1).view(np.uint8)
 
 
 def tns_decode(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
@@ -243,18 +259,25 @@ def load_tns(path) -> np.ndarray:
 
 
 def save_checkpoint(path, entries: dict[str, np.ndarray]) -> None:
-    """Write named arrays as an RCKP container."""
-    blob = bytearray()
-    blob += _RCKP_MAGIC
-    blob += struct.pack("<II", _RCKP_VERSION, len(entries))
+    """Write named arrays as an RCKP container.
+
+    The file is streamed entry by entry through `write_atomic`, each
+    payload straight from its array, so no copy of the whole file is
+    built. An entry that cannot be encoded leaves `path` as it was.
+    """
+    write_atomic(path, _rckp_chunks(entries))
+
+
+def _rckp_chunks(entries: dict[str, np.ndarray]):
+    """The RCKP container of `entries`, as chunks in file order."""
+    yield _RCKP_MAGIC + struct.pack("<II", _RCKP_VERSION, len(entries))
     for name, arr in entries.items():
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise DataIOError(f"entry name too long: {name[:32]!r}...")
-        blob += struct.pack("<H", len(encoded))
-        blob += encoded
-        blob += tns_encode(np.asarray(arr))
-    write_atomic(path, bytes(blob))
+        head, payload = _tns_chunks(np.asarray(arr))
+        yield struct.pack("<H", len(encoded)) + encoded + head
+        yield payload
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

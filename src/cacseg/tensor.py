@@ -9,20 +9,23 @@ The recorded graph is made of nodes, not values. Every tensor owns one
 node, which holds its gradient slot, its backward closure, the nodes of
 its inputs and its shape; the tensor itself holds only ``data``. An op's
 closure captures its inputs' nodes plus only what its backward cannot
-rebuild cheaply: the unpadded conv input and the weight, the normalized
-BN input ``xhat``, the ReLU sign mask as packed bits (1 bit per element),
-the max-pool route as two packed bit planes (2 bits per window, no input
-or output), both operands of a product, and for ``gate`` its input and
-two gates, from which backward rebuilds the product of the first two.
+rebuild cheaply: the unpadded conv input and the weight's data, the
+normalized BN input ``xhat``, the ReLU sign mask as packed bits (1 bit
+per element), the max-pool route as two packed bit planes (2 bits per
+window, no input or output), both operands of a product, and for
+``gate`` its two gates and its input.
 A node may also carry a rebuild, which writes one image of its data
 back, byte for byte, from state the graph keeps anyway: the output of
-batch norm has one (``gamma * xhat + beta``), and so has a relu of it.
-A conv whose input carries a rebuild keeps only the weight and rebuilds
-its input one image at a time in backward. This relies on no parameter
-being written between a forward and its backward, as every closure that
-reads a parameter's data does. So an op output that no closure saved is
-freed as soon as the forward drops its tensor, and so is an op input
-that only a relu, a max-pool or a conv fed through a rebuild read.
+batch norm has one (``gamma * xhat + beta``) and so has every gate's;
+a relu or an upsample has one when its input has, and so have a sum of
+two same-shaped tensors and a channel concat when all their operands
+have one. A conv or a gate whose input carries a rebuild does not keep
+that input and rebuilds it one image at a time in backward. This relies
+on no parameter being written between a forward and its backward, as
+every closure that reads a parameter's data does. So an op output that
+no closure saved is freed as soon as the forward drops its tensor, and
+so is an op input that only a relu, a max-pool, a directional pool or an
+op fed through a rebuild read. No rebuild closure holds its op's output.
 ``Tensor.backward`` topologically sorts the nodes and visits every op
 exactly once in reverse execution order. It releases the graph as it
 goes: once a node's closure has run, the node drops its gradient, its
@@ -306,6 +309,9 @@ class Tensor:
         return Tensor(np.asarray(other, dtype=self.dtype), check=False)
 
     def __add__(self, other):
+        """Broadcasting sum. When both operands carry a rebuild and have
+        the output's shape and dtype, the output carries one too: the
+        first operand's image, then the second's added to it."""
         b = self._coerce(other)
         out_data = self.data + b.data
         an, bn = self._node, b._node
@@ -314,7 +320,17 @@ class Tensor:
             an.accum(_unbroadcast(g, an.shape))
             bn.accum(_unbroadcast(g, bn.shape))
 
-        return Tensor._make(out_data, (an, bn), bw)
+        rebuild = None
+        if (an.rebuild is not None and bn.rebuild is not None
+                and an.shape == bn.shape == out_data.shape and self.dtype == b.dtype):
+            rebuild_a, rebuild_b = an.rebuild, bn.rebuild
+
+            def rebuild(i, out):
+                rebuild_a(i, out)
+                out += rebuild_b(i, np.empty(out.shape, out.dtype))
+                return out
+
+        return Tensor._make(out_data, (an, bn), bw, rebuild)
 
     __radd__ = __add__
 
@@ -582,45 +598,95 @@ def softmax_channel(x: Tensor) -> Tensor:
     return Tensor._make(p, (xn,), bw)
 
 
+def _fits_per_image(x_shape: tuple, shape: tuple) -> bool:
+    """Whether a 4-D `shape` has the batch extent of `x_shape` and
+    broadcasts to it image by image."""
+    return (len(shape) == 4 and shape[0] == x_shape[0]
+            and all(s in (1, e) for s, e in zip(shape[1:], x_shape[1:])))
+
+
 def gate(x: Tensor, a: Tensor, b: Tensor) -> Tensor:
-    """``x * a * b``, multiplied in that order, for gates `a` and `b` of
-    the dtype of `x` that broadcast to its shape.
+    """``x * a * b``, multiplied in that order, for a 4-D `x` and gates `a`
+    and `b` of its dtype and batch extent that broadcast to its shape.
 
     Output and gradients have the same bytes as the two-product chain
-    ``x * a * b``. The closure saves `x` and the two gates, not the
-    intermediate ``x * a``: backward rebuilds that product, one multiply,
-    to form the gradient of `b` (recompute over store, Chen et al.,
-    arXiv:1604.06174).
+    ``x * a * b``. No closure saves the output or the intermediate
+    ``x * a`` (recompute over store, Chen et al., arXiv:1604.06174). The
+    output's node carries a rebuild, ``x[i] * a[i]`` then ``*= b[i]``.
+    The closure saves the two gates and `x`, or not `x` when its node
+    carries a rebuild. Backward runs one image at a time: it takes image
+    `i` of `x` from the stored input or its rebuild, rebuilds
+    ``x[i] * a[i]`` for the gradient of `b`, and sums each gate's
+    gradient over the gate's unit axes per image, which gives the bytes
+    of the whole-batch sum.
     """
-    if np.broadcast_shapes(x.shape, a.shape, b.shape) != x.shape:
+    if x.ndim != 4 or not (_fits_per_image(x.shape, a.shape)
+                           and _fits_per_image(x.shape, b.shape)):
         raise DimensionError(
-            f"gate shapes {a.shape} and {b.shape} do not broadcast to the input {x.shape}"
+            f"gate shapes {a.shape} and {b.shape} do not broadcast per image "
+            f"to the input {x.shape}"
+        )
+    if not a.dtype == b.dtype == x.dtype:
+        raise ContractError(
+            f"gate dtypes {a.dtype} and {b.dtype} differ from the input's {x.dtype}"
         )
     x_d, a_d, b_d = x.data, a.data, b.data
     out_data = x_d * a_d
     out_data *= b_d
     xn, an, bn = x._node, a._node, b._node
+    rebuild_x = xn.rebuild
+    if rebuild_x is not None:
+        x_d = None
+    x_shape, dtype = x.shape, x.dtype
+    # the axes of one image that each gate's gradient is summed over; with
+    # none it is not summed, as a sum over no axis turns -0.0 into 0.0
+    a_axes = tuple(k - 1 for k in range(1, 4) if a.shape[k] == 1 != x_shape[k])
+    b_axes = tuple(k - 1 for k in range(1, 4) if b.shape[k] == 1 != x_shape[k])
+
+    def image(i, out):
+        if x_d is None:
+            np.multiply(rebuild_x(i, out), a_d[i], out=out)
+        else:
+            np.multiply(x_d[i], a_d[i], out=out)
+        out *= b_d[i]
+        return out
 
     def bw(g):
-        if bn.requires_grad:
-            xa = x_d * a_d
-            xa *= g
-            bn.accum(_unbroadcast(xa, bn.shape))
-        if xn.requires_grad or an.requires_grad:
-            g_xa = g * b_d
-            if xn.requires_grad:
-                xn.accum(g_xa * a_d)
-            if an.requires_grad:
-                g_xa *= x_d
-                an.accum(_unbroadcast(g_xa, an.shape))
+        gx = np.empty(x_shape, g.dtype) if xn.requires_grad else None
+        ga = np.empty(an.shape, g.dtype) if an.requires_grad else None
+        gb = np.empty(bn.shape, g.dtype) if bn.requires_grad else None
+        need_x = ga is not None or gb is not None
+        if need_x and x_d is None:
+            x_buf = np.empty(x_shape[1:], dtype)
+        for i in range(x_shape[0]):
+            if need_x:
+                x_i = rebuild_x(i, x_buf) if x_d is None else x_d[i]
+            if gb is not None:
+                xa = x_i * a_d[i]
+                xa *= g[i]
+                gb[i] = xa.sum(axis=b_axes, keepdims=True) if b_axes else xa
+            if gx is not None or ga is not None:
+                g_xa = g[i] * b_d[i]
+                if gx is not None:
+                    np.multiply(g_xa, a_d[i], out=gx[i])
+                if ga is not None:
+                    g_xa *= x_i
+                    ga[i] = g_xa.sum(axis=a_axes, keepdims=True) if a_axes else g_xa
+        for node, grad in ((bn, gb), (xn, gx), (an, ga)):
+            if grad is not None:
+                node.accum(grad)
 
-    return Tensor._make(out_data, (xn, an, bn), bw)
+    return Tensor._make(out_data, (xn, an, bn), bw, image)
 
 
 # -- concatenation ---------------------------------------------------------
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
+    """Join tensors along `axis`. When the operands are 4-D, joined on the
+    channel axis, all of one dtype and each carrying a rebuild, the output
+    carries one too: each operand's rebuild writes its channel slice of
+    the given image, so no consumer need store the output."""
     ref = tensors[0].shape
     for i, t in enumerate(tensors[1:], start=1):
         for a, (s0, s1) in enumerate(zip(ref, t.shape)):
@@ -640,7 +706,20 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
             node.accum(g[tuple(idx)])
             start += s
 
-    return Tensor._make(out_data, nodes, bw)
+    rebuild = None
+    parts = [node.rebuild for node in nodes]
+    if (len(ref) == 4 and axis % 4 == 1 and None not in parts
+            and all(t.dtype == tensors[0].dtype for t in tensors)):
+        widths = [node.shape[1] for node in nodes]
+
+        def rebuild(i, out):
+            start = 0
+            for part, c in zip(parts, widths):
+                part(i, out[start:start + c])
+                start += c
+            return out
+
+    return Tensor._make(out_data, nodes, bw, rebuild)
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
@@ -702,6 +781,15 @@ def _conv_image(x_d: Optional[np.ndarray], b: int, buf: np.ndarray, padding: int
     return buf.reshape(c, hp * wp)
 
 
+def _zero_border(buf: np.ndarray, padding: int) -> None:
+    """Zero the outer `padding` rows and columns of each channel of `buf`."""
+    if padding:
+        buf[:, :padding] = 0
+        buf[:, -padding:] = 0
+        buf[:, :, :padding] = 0
+        buf[:, :, -padding:] = 0
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            padding: int = 0) -> Tensor:
     """2D cross-correlation over N,C,H,W with gradients for all operands.
@@ -721,13 +809,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     Every pass works one image at a time, on the same path at every
     padding and kernel size, a 1x1 conv included. The forward writes each
     image into one zero-bordered (Cin, Hp, Wp) scratch. The backward has
-    one such scratch too: per image it is zeroed and takes the input for
-    grad-w, then is zeroed again and accumulates grad-x. No full-batch
-    padded copy, accumulator or widened gradient is built, and no column
-    buffer either. The backward closure holds the weight and the unpadded
-    input, or not even the input when its node carries a rebuild (the
-    output of batch norm, or a relu of one): then backward writes each
-    image back into the scratch from the state batch norm keeps anyway,
+    one such scratch too: per image its border is zeroed and the input
+    fills its interior for grad-w, then it is zeroed whole and
+    accumulates grad-x. No full-batch padded copy, accumulator or widened
+    gradient is built, and no column buffer either. The backward closure
+    holds the weight's data, whose transposed taps backward builds again,
+    and the unpadded input, or not even the input when its node carries a
+    rebuild (see `_Node`; batch norm, a relu of it, a gate, a sum, a
+    channel concat and an upsample can carry one): then backward writes
+    each image back into the scratch from state the graph keeps anyway,
     with the same operations in the same order, so the bytes are those of
     the forward's input (recompute over store, Chen et al.,
     arXiv:1604.06174). That relies on no parameter being written between a
@@ -785,6 +875,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     parents = (xn, wn) if bn is None else (xn, wn, bn)
     rebuild = xn.rebuild
     x_d = None if rebuild is not None else x.data
+    w_d = weight.data
 
     def bw(g):
         if bn is not None and bn.requires_grad:
@@ -793,6 +884,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             gw = np.empty((kh, kw, cin, cout), dtype=g.dtype)
             prod = np.empty((cin, cout), dtype=g.dtype)
         if xn.requires_grad:
+            # built here, not kept from forward, so the closure holds the weight only
+            w_taps = np.ascontiguousarray(w_d.transpose(2, 3, 0, 1))
             # grad-x owns its memory, so accum keeps it without a copy
             gx = np.empty((n, cin, h, w), dtype=g.dtype)
             g_tap = np.empty((cin, span), dtype=g.dtype)
@@ -804,7 +897,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         for b in range(n):
             g_wide[..., :wout] = g[b]
             if wn.requires_grad:
-                pad.fill(0)
+                # grad-x left its sums in the border; the input fills the interior
+                _zero_border(pad, padding)
                 x_flat = _conv_image(x_d, b, pad, padding, rebuild)
                 for i, j, off in taps:
                     # images summed in batch order, as .sum(axis=0) of their stack is
@@ -923,7 +1017,9 @@ def upsample_bilinear2(x: Tensor) -> Tensor:
     Two matmuls per image and channel, ``Mh @ x @ Mw.T``, backward
     ``Mh.T @ (g @ Mw)``: each writes a contiguous result, so no transpose
     or copy follows, and each image's GEMMs have the same shapes in any
-    batch, so its output does not depend on the batch it came in.
+    batch, so its output does not depend on the batch it came in. When
+    the input's node carries a rebuild, the output's node carries one
+    too: the input's image, then the same two matmuls on it alone.
     """
     if x.ndim != 4:
         raise DimensionError(f"upsample_bilinear2 input must be 4D, got shape {x.shape}")
@@ -936,7 +1032,16 @@ def upsample_bilinear2(x: Tensor) -> Tensor:
     def bw(g):
         xn.accum(np.matmul(mh.T, np.matmul(g, mw)))
 
-    return Tensor._make(out_data, (xn,), bw)
+    rebuild = None
+    if xn.rebuild is not None:
+        rebuild_x, dtype = xn.rebuild, x.dtype
+
+        def rebuild(i, out):
+            x_i = rebuild_x(i, np.empty((c, h, w), dtype))
+            out[...] = np.matmul(np.matmul(mh, x_i), mw.T)
+            return out
+
+    return Tensor._make(out_data, (xn,), bw, rebuild)
 
 
 def directional_avgpool(x: Tensor, axis: str) -> Tensor:

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cacseg import attention
+from cacseg import attention, network
 from cacseg import tensor as T
 from cacseg.attention import CAConfig, ca_forward, init_ca
 from cacseg.errors import (
@@ -750,6 +750,103 @@ class TestKernelRewrites:
         assert np.signbit(got[0]).any()
 
 
+def with_rebuild(rng, shape, dtype):
+    """A batchnorm2d output, which carries a rebuild, whose channel 0 mixes
+    -0.0 and 0.0 (gamma and beta -0.0 there)."""
+    gamma = rng.standard_normal(shape[1]).astype(dtype)
+    beta = rng.standard_normal(shape[1]).astype(dtype)
+    gamma[0] = beta[0] = -0.0
+    x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+    return T.batchnorm2d(x, Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True),
+                         RunningMoments(shape[1], dtype))
+
+
+def gates_of(rng, shape, dtype):
+    """Width and height gates for an input of `shape`, with planted ±0."""
+    n, c, h, w = shape
+    return [Tensor(plant_zeros(rng.standard_normal(s).astype(dtype)), requires_grad=True,
+                   check=False) for s in ((n, c, 1, w), (n, c, h, 1))]
+
+
+def rebuild_cases(rng, dtype):
+    """name -> an op output that carries a rebuild, built on (2, 3, 6, 10)."""
+    shape = (2, 3, 6, 10)
+    stored = Tensor(plant_zeros(rng.standard_normal(shape).astype(dtype)),
+                    requires_grad=True, check=False)
+    small = with_rebuild(rng, (2, 3, 3, 5), dtype)
+    upsampled = T.upsample_bilinear2(T.relu(small))
+    return {
+        "add": with_rebuild(rng, shape, dtype) + with_rebuild(rng, shape, dtype),
+        "gate": T.gate(with_rebuild(rng, shape, dtype), *gates_of(rng, shape, dtype)),
+        "gate-stored-input": T.gate(stored, *gates_of(rng, shape, dtype)),
+        "concat": T.concat_channels(with_rebuild(rng, shape, dtype),
+                                    T.relu(with_rebuild(rng, (2, 2, 6, 10), dtype))),
+        "upsample": upsampled,
+        # the decoder of an attention net: upsample, gate, concat a RICA sum
+        "decoder": T.concat_channels(
+            T.gate(upsampled, *gates_of(rng, shape, dtype)),
+            T.relu(with_rebuild(rng, shape, dtype)) + with_rebuild(rng, shape, dtype)),
+    }
+
+
+class TestRebuilds:
+    """A rebuild writes image i of its op's output, byte for byte, into a
+    strided buffer such as a conv scratch's interior."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("case", ["add", "gate", "gate-stored-input", "concat",
+                                      "upsample", "decoder"])
+    def test_rebuild_matches_the_output(self, case, dtype):
+        y = rebuild_cases(np.random.default_rng(40), dtype)[case]
+        assert y._node.rebuild is not None
+        n, c, h, w = y.shape
+        for i in range(n):
+            scratch = np.full((c, h + 2, w + 2), np.nan, dtype)
+            out = scratch[:, 1:-1, 1:-1]
+            assert y._node.rebuild(i, out) is out
+            assert out.tobytes() == y.data[i].tobytes()
+        assert (y.data == 0).any()
+        if case != "upsample":
+            assert np.signbit(y.data[y.data == 0]).any()
+
+    def test_no_rebuild_without_rebuilt_operands(self):
+        rng = np.random.default_rng(41)
+        plain = Tensor(rng.standard_normal((2, 3, 4, 4)).astype(np.float32), requires_grad=True)
+        rebuilt = with_rebuild(rng, (2, 3, 4, 4), np.float32)
+        assert (plain + rebuilt)._node.rebuild is None
+        assert (rebuilt + rebuilt.narrow(3, 0, 1))._node.rebuild is None
+        assert T.concat_channels(plain, rebuilt)._node.rebuild is None
+        assert T.concat([rebuilt, rebuilt], axis=2)._node.rebuild is None
+        assert T.upsample_bilinear2(plain)._node.rebuild is None
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 7), (16, 8, 64, 64), (4, 16, 128, 128)],
+                             ids=str)
+    def test_gate_of_bn_relu_matches_two_products(self, shape, dtype):
+        # the gate keeps no input and rebuilds it per image in backward
+        n, c, h, w = shape
+        rng = np.random.default_rng(42)
+        x0 = rng.standard_normal(shape).astype(dtype)
+        gamma0, beta0 = rng.standard_normal(c).astype(dtype), rng.standard_normal(c).astype(dtype)
+        a0, b0, g = (plant_zeros(rng.standard_normal(s).astype(dtype))
+                     for s in ((n, c, 1, w), (n, c, h, 1), shape))
+        results = []
+        for op in (T.gate, two_products):
+            x, gamma, beta, a, b = (Tensor(v, requires_grad=True, check=False)
+                                    for v in (x0, gamma0, beta0, a0, b0))
+            r = T.relu(T.batchnorm2d(x, gamma, beta, RunningMoments(c, dtype)))
+            y = op(r, a, b)
+            (y * Tensor(g, check=False)).sum().backward()
+            results.append([y.data] + [t.grad for t in (x, a, b, gamma, beta)])
+        for name, u, v in zip(("out", "dx", "da", "db", "dgamma", "dbeta"), *results):
+            assert u.dtype == dtype and u.tobytes() == v.tobytes(), name
+
+    def test_gate_rejects_a_gate_of_another_dtype(self):
+        x = Tensor(np.ones((1, 2, 3, 4), np.float32))
+        with pytest.raises(ContractError, match="gate dtypes"):
+            T.gate(x, Tensor(np.ones((1, 2, 1, 4))), Tensor(np.ones((1, 2, 3, 1), np.float32)))
+
+
 class TestResampling:
     def test_upsample_constant(self):
         x = Tensor(np.full((2, 3, 4, 5), 1.75, np.float32))
@@ -847,6 +944,38 @@ class TestBackward:
         assert bn_out() is None, "the BN output outlived its tensor"
         loss.backward()
         assert all(t.grad is not None for t in (x, w, gamma, beta))
+
+    def test_attention_net_frees_concat_gate_inputs_and_rica_sums(self, monkeypatch):
+        # Every part of a decoder concat carries a rebuild, so the conv it
+        # feeds, the decoder gates and the convs on the RICA sums keep none.
+        freed = {"concat": [], "decoder gate input": [], "rica sum": []}
+
+        def recording(fn, kind, pick):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                watched = pick(args, out)
+                if watched is not None:
+                    freed[kind].append(weakref.ref(watched.data))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(network, "concat_channels", recording(
+            network.concat_channels, "concat", lambda args, out: out))
+        monkeypatch.setattr(network, "ca_forward", recording(
+            network.ca_forward, "decoder gate input",
+            lambda args, out: args[0] if args[2].startswith("dec") else None))
+        monkeypatch.setattr(network, "rica_forward", recording(
+            network.rica_forward, "rica sum", lambda args, out: out))
+        store = build(ArchConfig(levels=2, base_channels=4), 0)
+        x = Tensor(np.random.default_rng(6).standard_normal((2, 1, 16, 16)).astype(np.float32))
+        loss = loss_by_variant(LossConfig())(forward(store, x, training=True),
+                                             np.zeros((2, 16, 16), np.int64))
+        assert {k: len(v) for k, v in freed.items()} == \
+            {"concat": 2, "decoder gate input": 2, "rica sum": 3}
+        alive = {k: sum(ref() is not None for ref in v) for k, v in freed.items()}
+        assert alive == {k: 0 for k in freed}, f"alive before backward: {alive}"
+        loss.backward()
+        assert all(t.grad is not None for _, t in store.items())
 
     def test_closures_hold_nodes_not_tensors(self):
         store = build(ArchConfig(levels=1, base_channels=4), 0)

@@ -1,6 +1,8 @@
 """Scheduler, optimizer, and training-loop tests."""
 
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,7 +259,74 @@ class TestPredict:
             TR._assemble([ds.sample(i) for i in range(3)])
 
 
+def rckp_blob(entries):
+    """An RCKP container built whole in memory, as one bytes object."""
+    blob = bytearray(b"RCKP" + struct.pack("<II", 1, len(entries)))
+    for name, arr in entries.items():
+        encoded = name.encode("utf-8")
+        blob += struct.pack("<H", len(encoded)) + encoded + params.tns_encode(np.asarray(arr))
+    return bytes(blob)
+
+
 class TestPersistence:
+    def test_checkpoint_bytes_match_the_blob_form(self, tmp_path):
+        store = build(ArchConfig(levels=2, base_channels=4), rng_seed=0)
+        state = TR.adam_init(store)
+        state.m["head.conv.bias"] += 0.5
+        path = tmp_path / TR.LAST_CHECKPOINT
+        TR._save_training_state(path, store, state, 3, 0.25, 1)
+        entries = params.load_checkpoint(path)
+        assert len(entries) > 50
+        assert path.read_bytes() == rckp_blob(entries)
+        odd = {"ü": np.arange(6, dtype=np.int64).reshape(2, 3), "f64": np.linspace(0, 1, 5),
+               "empty": np.zeros((0, 3), np.float32), "strided": np.ones((4, 6), np.float32)[:, ::2]}
+        params.save_checkpoint(path, odd)
+        assert path.read_bytes() == rckp_blob(odd)
+
+    def test_checkpoint_save_peaks_below_two_largest_entries(self, tmp_path):
+        rng = np.random.default_rng(0)
+        entries = {f"small.{i}": rng.standard_normal((64, 64)).astype(np.float32)
+                    for i in range(16)}
+        entries["large"] = rng.standard_normal((1024, 1024)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            params.save_checkpoint(tmp_path / "c.rckp", entries)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        largest = entries["large"].nbytes
+        assert peak < 2 * largest, f"save peaked at {peak / largest:.2f}x the largest entry"
+        assert params.load_checkpoint(tmp_path / "c.rckp").keys() == entries.keys()
+
+    @pytest.mark.parametrize("bad, match", [
+        pytest.param({"z": np.ones(3, np.complex64)}, "unsupported dtype", id="complex"),
+        pytest.param({"i": np.array([300], np.int64)}, "out of u8 range", id="int-range"),
+        pytest.param({"n" * 70000: np.ones(3, np.float32)}, "name too long", id="long-name"),
+    ])
+    def test_entry_that_cannot_be_encoded_leaves_no_trace(self, tmp_path, bad, match):
+        # the failing entry comes after one that has been written
+        path = tmp_path / TR.LAST_CHECKPOINT
+        params.save_checkpoint(path, {"w": np.arange(4, dtype=np.float32)})
+        before = path.read_bytes()
+        with pytest.raises(DataIOError, match=match):
+            params.save_checkpoint(path, {"big": np.ones(50000, np.float32), **bad})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [TR.LAST_CHECKPOINT]
+
+    def test_atomic_write_removes_its_temporary_on_any_exception(self, tmp_path):
+        def chunks():
+            yield b"partial"
+            raise KeyError("chunk")
+
+        with pytest.raises(KeyError, match="chunk"):
+            params.write_atomic(tmp_path / "out.bin", chunks())
+        assert list(tmp_path.iterdir()) == []
+        params.write_atomic(tmp_path / "out.bin", iter([b"ab", memoryview(b"cd"),
+                                                        np.frombuffer(b"ef", np.uint8)]))
+        assert (tmp_path / "out.bin").read_bytes() == b"abcdef"
+
     def test_failed_checkpoint_write_keeps_previous_file(self, tmp_path, fail_atomic_writes):
         path = tmp_path / TR.LAST_CHECKPOINT
         params.save_checkpoint(path, {"w": np.arange(4, dtype=np.float32)})

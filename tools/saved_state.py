@@ -10,10 +10,15 @@ buffer once: to the first op, in backward order, whose closure holds it.
 A closure also holds what the functions in its cells hold (a conv's
 rebuild of its input), followed to any depth; a buffer reached only that
 way is charged after every directly held one, so it lands on the op that
-holds it directly when there is one. It prints, per op, the closures
+holds it directly when there is one. No buffer of a parameter is
+charged, since the store holds those anyway. It prints, per op, the closures
 counted and the MiB they hold, then the total, the traced memory when
 backward starts, the traced peak of the forward and loss above their
-start and the traced peak of the backward pass above its start.
+start and the traced peak of the backward pass above its start. Last,
+after one Adam step, it saves the training state (the store plus Adam's
+moments, as each epoch's checkpoint holds them) and prints the traced
+peak of that save above its start, with the file's size and its largest
+entry.
 
     python3 tools/saved_state.py <checkout>
 
@@ -24,6 +29,7 @@ checkouts give two comparable tables.
 from __future__ import annotations
 
 import sys
+import tempfile
 import tracemalloc
 from collections import defaultdict
 from pathlib import Path
@@ -62,10 +68,11 @@ def _op_name(fn) -> str:
     return fn.__qualname__.split(".<locals>")[0].removeprefix("Tensor.")
 
 
-def saved_state(root) -> tuple[dict, dict]:
-    """({op: MiB}, {op: closures}) of the graph behind the node `root`."""
+def saved_state(root, params) -> tuple[dict, dict]:
+    """({op: MiB}, {op: closures}) of the graph behind the node `root`,
+    charging none of the arrays `params`."""
     held, closures = defaultdict(float), defaultdict(int)
-    seen_nodes, seen_buffers = set(), set()
+    seen_nodes, seen_buffers = set(), {id(_buffer(arr)) for arr in params}
     indirect = []   # (op, function) met in a closure cell, in backward order
 
     def charge(op, values, functions):
@@ -105,6 +112,7 @@ def step(levels: int, base: int, batch: int, side: int) -> None:
     from cacseg.losses import LossConfig, class_weights_from_counts, loss_by_variant
     from cacseg.network import ArchConfig, build, forward
     from cacseg.tensor import Tensor
+    from cacseg.training import TrainConfig, _save_training_state, adam_init, adam_step
 
     rng = np.random.default_rng(5)
     store = build(ArchConfig(levels=levels, base_channels=base), 0)
@@ -122,7 +130,7 @@ def step(levels: int, base: int, batch: int, side: int) -> None:
         base_mem = tracemalloc.get_traced_memory()[0]
         loss = loss_fn(forward(store, x, training=True), target)
         start, forward_peak = tracemalloc.get_traced_memory()
-        held, closures = saved_state(loss._node)
+        held, closures = saved_state(loss._node, [t.data for _, t in store.items()])
         tracemalloc.reset_peak()
         loss.backward()
         peak = tracemalloc.get_traced_memory()[1]
@@ -136,6 +144,22 @@ def step(levels: int, base: int, batch: int, side: int) -> None:
     print(f"traced memory when backward starts: {(start - base_mem) / MIB:.1f} MiB")
     print(f"forward and loss traced peak above their start: {(forward_peak - base_mem) / MIB:.1f} MiB")
     print(f"backward traced peak above its start: {(peak - start) / MIB:.1f} MiB")
+
+    state = adam_init(store)
+    adam_step(store, state, 1e-3, TrainConfig())
+    largest = max(t.data.nbytes for _, t in store.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "last.rckp"
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _save_training_state(path, store, state, 1, 0.0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+    print(f"save_checkpoint traced peak above its start: {(peak - start) / MIB:.2f} MiB "
+          f"(file {size / MIB:.1f} MiB, largest entry {largest / MIB:.1f} MiB)")
 
 
 def main(argv: list[str]) -> int:
