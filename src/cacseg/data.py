@@ -112,6 +112,8 @@ class AugmentConfig:
         if not self.rot_degrees or not self.crop_sides:
             raise ConfigError("rotation magnitudes and crop sides need at least one value each")
         _check_range("blur_sigma", self.blur_sigma)
+        if any(s <= 0 for s in self.blur_sigma):
+            raise ConfigError(f"blur_sigma values must be > 0, got {self.blur_sigma}")
         if any(d <= 0 for d in self.rot_degrees):
             raise ConfigError("rotation magnitudes must be positive")
         if any(s < 2 for s in self.crop_sides):

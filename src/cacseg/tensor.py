@@ -9,18 +9,20 @@ The recorded graph is made of nodes, not values. Every tensor owns one
 node, which holds its gradient slot, its backward closure, the nodes of
 its inputs and its shape; the tensor itself holds only ``data``. An op's
 closure captures its inputs' nodes plus only what its backward cannot
-rebuild cheaply: the unpadded conv input and the weight's data, the
-normalized BN input ``xhat``, the ReLU sign mask as packed bits (1 bit
-per element), the max-pool route as two packed bit planes (2 bits per
-window, no input or output), both operands of a product, and for
-``gate`` its two gates and its input.
+rebuild cheaply: the weight's data, the normalized BN input ``xhat``
+(batch norm's constants are ``BN_MOMENTUM`` and ``BN_EPS``), the ReLU
+sign mask as packed bits (1 bit per element), the max-pool route as two
+packed bit planes (2 bits per window, no input or output), both operands
+of a product, the two gates of ``gate``, and the input of a conv or a
+gate when it has no rebuild.
 A node may also carry a rebuild, which writes one image of its data
 back, byte for byte, from state the graph keeps anyway: the output of
 batch norm has one (``gamma * xhat + beta``) and so has every gate's;
 a relu or an upsample has one when its input has, and so have a sum of
 two same-shaped tensors and a channel concat when all their operands
-have one. A conv or a gate whose input carries a rebuild does not keep
-that input and rebuilds it one image at a time in backward. This relies
+have one. A conv or a gate reads its input back one image at a time
+through ``_reader``, which is the input's rebuild when it has one, so
+the input is not kept, else a copy from the stored input. This relies
 on no parameter being written between a forward and its backward, as
 every closure that reads a parameter's data does. So an op output that
 no closure saved is freed as soon as the forward drops its tensor, and
@@ -598,6 +600,22 @@ def softmax_channel(x: Tensor) -> Tensor:
     return Tensor._make(p, (xn,), bw)
 
 
+def _reader(t: Tensor) -> Callable[[int, np.ndarray], np.ndarray]:
+    """How a backward reads image `i` of its input `t` into a buffer `out`:
+    `t`'s rebuild when its node carries one (see `_Node`), so `t.data` is
+    not kept, else a copy of ``t.data[i]`` from the `t.data` it holds.
+    Either way the bytes are those of ``t.data[i]``."""
+    if t._node.rebuild is not None:
+        return t._node.rebuild
+    d = t.data
+
+    def read(i, out):
+        out[...] = d[i]
+        return out
+
+    return read
+
+
 def _fits_per_image(x_shape: tuple, shape: tuple) -> bool:
     """Whether a 4-D `shape` has the batch extent of `x_shape` and
     broadcasts to it image by image."""
@@ -612,13 +630,12 @@ def gate(x: Tensor, a: Tensor, b: Tensor) -> Tensor:
     Output and gradients have the same bytes as the two-product chain
     ``x * a * b``. No closure saves the output or the intermediate
     ``x * a`` (recompute over store, Chen et al., arXiv:1604.06174). The
-    output's node carries a rebuild, ``x[i] * a[i]`` then ``*= b[i]``.
-    The closure saves the two gates and `x`, or not `x` when its node
-    carries a rebuild. Backward runs one image at a time: it takes image
-    `i` of `x` from the stored input or its rebuild, rebuilds
-    ``x[i] * a[i]`` for the gradient of `b`, and sums each gate's
-    gradient over the gate's unit axes per image, which gives the bytes
-    of the whole-batch sum.
+    closure and the output's rebuild, ``x[i] * a[i]`` then ``*= b[i]``,
+    hold the two gates and `x`'s reader (`_reader`): `x`'s own rebuild,
+    or a copy of ``x.data[i]`` when `x` has none. Backward runs one image
+    at a time: it reads image `i` of `x`, rebuilds ``x[i] * a[i]`` for the
+    gradient of `b`, and sums each gate's gradient over the gate's unit
+    axes per image, which gives the bytes of the whole-batch sum.
     """
     if x.ndim != 4 or not (_fits_per_image(x.shape, a.shape)
                            and _fits_per_image(x.shape, b.shape)):
@@ -630,13 +647,11 @@ def gate(x: Tensor, a: Tensor, b: Tensor) -> Tensor:
         raise ContractError(
             f"gate dtypes {a.dtype} and {b.dtype} differ from the input's {x.dtype}"
         )
-    x_d, a_d, b_d = x.data, a.data, b.data
-    out_data = x_d * a_d
+    a_d, b_d = a.data, b.data
+    out_data = x.data * a_d
     out_data *= b_d
     xn, an, bn = x._node, a._node, b._node
-    rebuild_x = xn.rebuild
-    if rebuild_x is not None:
-        x_d = None
+    read_x = _reader(x)
     x_shape, dtype = x.shape, x.dtype
     # the axes of one image that each gate's gradient is summed over; with
     # none it is not summed, as a sum over no axis turns -0.0 into 0.0
@@ -644,10 +659,7 @@ def gate(x: Tensor, a: Tensor, b: Tensor) -> Tensor:
     b_axes = tuple(k - 1 for k in range(1, 4) if b.shape[k] == 1 != x_shape[k])
 
     def image(i, out):
-        if x_d is None:
-            np.multiply(rebuild_x(i, out), a_d[i], out=out)
-        else:
-            np.multiply(x_d[i], a_d[i], out=out)
+        np.multiply(read_x(i, out), a_d[i], out=out)
         out *= b_d[i]
         return out
 
@@ -656,11 +668,10 @@ def gate(x: Tensor, a: Tensor, b: Tensor) -> Tensor:
         ga = np.empty(an.shape, g.dtype) if an.requires_grad else None
         gb = np.empty(bn.shape, g.dtype) if bn.requires_grad else None
         need_x = ga is not None or gb is not None
-        if need_x and x_d is None:
-            x_buf = np.empty(x_shape[1:], dtype)
+        x_buf = np.empty(x_shape[1:], dtype)
         for i in range(x_shape[0]):
             if need_x:
-                x_i = rebuild_x(i, x_buf) if x_d is None else x_d[i]
+                x_i = read_x(i, x_buf)
             if gb is not None:
                 xa = x_i * a_d[i]
                 xa *= g[i]
@@ -765,22 +776,6 @@ def _tap_product(w_tap: np.ndarray, x_tap: np.ndarray, out: np.ndarray) -> np.nd
     return np.matmul(w_tap, x_tap, out=out)
 
 
-def _conv_image(x_d: Optional[np.ndarray], b: int, buf: np.ndarray, padding: int,
-                rebuild=None) -> np.ndarray:
-    """Image `b` of a conv input as (C, Hp*Wp), written into the one-image
-    scratch `buf`, (C, Hp, Wp), whose border of `padding` zeros the caller
-    keeps: copied from ``x_d[b]``, or, when `x_d` is None, by
-    ``rebuild(b, interior)``. Every padding, 0 included, takes this path.
-    """
-    c, hp, wp = buf.shape
-    interior = buf[:, padding:hp - padding, padding:wp - padding]
-    if x_d is None:
-        rebuild(b, interior)
-    else:
-        interior[...] = x_d[b]
-    return buf.reshape(c, hp * wp)
-
-
 def _zero_border(buf: np.ndarray, padding: int) -> None:
     """Zero the outer `padding` rows and columns of each channel of `buf`."""
     if padding:
@@ -809,19 +804,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     Every pass works one image at a time, on the same path at every
     padding and kernel size, a 1x1 conv included. The forward writes each
     image into one zero-bordered (Cin, Hp, Wp) scratch. The backward has
-    one such scratch too: per image its border is zeroed and the input
-    fills its interior for grad-w, then it is zeroed whole and
-    accumulates grad-x. No full-batch padded copy, accumulator or widened
-    gradient is built, and no column buffer either. The backward closure
-    holds the weight's data, whose transposed taps backward builds again,
-    and the unpadded input, or not even the input when its node carries a
-    rebuild (see `_Node`; batch norm, a relu of it, a gate, a sum, a
-    channel concat and an upsample can carry one): then backward writes
-    each image back into the scratch from state the graph keeps anyway,
-    with the same operations in the same order, so the bytes are those of
-    the forward's input (recompute over store, Chen et al.,
-    arXiv:1604.06174). That relies on no parameter being written between a
-    forward and its backward.
+    one such scratch too: per image its border is zeroed and the input's
+    reader (`_reader`) fills its interior for grad-w, then it is zeroed
+    whole and accumulates grad-x. No full-batch padded copy, accumulator
+    or widened gradient is built, and no column buffer either. The
+    backward closure holds the weight's data, whose transposed taps
+    backward builds again, and the reader: a copy of the stored unpadded
+    input, or, when the input's node carries a rebuild (see `_Node`;
+    batch norm, a relu of it, a gate, a sum, a channel concat and an
+    upsample can carry one), that rebuild, which writes each image back
+    from state the graph keeps anyway with the forward's operations in
+    their order, so no input is kept (recompute over store, Chen et al.,
+    arXiv:1604.06174). Either way the bytes are those the forward read.
+    A rebuild relies on no parameter being written between a forward and
+    its backward.
 
     The taps of one image run back to back, so its accumulator stays in
     cache, and an image's output does not depend on the batch it came in.
@@ -855,11 +851,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     dtype = x.dtype if bias is None else np.result_type(x.dtype, bias.dtype)
     out_data = np.empty((n, cout, hout, wout), dtype=dtype)
     buf = np.zeros((cin, hp, wp), dtype=x.dtype)
+    x_flat = buf.reshape(cin, hp * wp)
     wide = np.empty((cout, hout, wp), dtype=x.dtype)
     acc = wide.reshape(cout, hout * wp)[:, :span]
     tmp = np.empty((cout, span), dtype=x.dtype)
     for b in range(n):
-        x_flat = _conv_image(x.data, b, buf, padding)
+        buf[:, padding:padding + h, padding:padding + w] = x.data[b]
         for t, (i, j, off) in enumerate(taps):
             x_tap = x_flat[:, off:off + span]
             if t == 0:
@@ -873,8 +870,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     xn, wn = x._node, weight._node
     bn = None if bias is None else bias._node
     parents = (xn, wn) if bn is None else (xn, wn, bn)
-    rebuild = xn.rebuild
-    x_d = None if rebuild is not None else x.data
+    read_x = _reader(x)
     w_d = weight.data
 
     def bw(g):
@@ -891,6 +887,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             g_tap = np.empty((cin, span), dtype=g.dtype)
         pad = np.empty((cin, hp, wp), dtype=g.dtype)
         pad_flat = pad.reshape(cin, hp * wp)
+        interior = pad[:, padding:padding + h, padding:padding + w]
         g_wide = np.zeros((cout, hout, wp), dtype=g.dtype)
         g_flat = g_wide.reshape(cout, hout * wp)[:, :span]
         g_flat_t = g_flat.T
@@ -899,18 +896,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             if wn.requires_grad:
                 # grad-x left its sums in the border; the input fills the interior
                 _zero_border(pad, padding)
-                x_flat = _conv_image(x_d, b, pad, padding, rebuild)
+                read_x(b, interior)
                 for i, j, off in taps:
                     # images summed in batch order, as .sum(axis=0) of their stack is
                     if b == 0:
-                        np.matmul(x_flat[:, off:off + span], g_flat_t, out=gw[i, j])
+                        np.matmul(pad_flat[:, off:off + span], g_flat_t, out=gw[i, j])
                     else:
-                        gw[i, j] += np.matmul(x_flat[:, off:off + span], g_flat_t, out=prod)
+                        gw[i, j] += np.matmul(pad_flat[:, off:off + span], g_flat_t, out=prod)
             if xn.requires_grad:
                 pad.fill(0)
                 for i, j, off in taps:
                     pad_flat[:, off:off + span] += np.matmul(w_taps[i, j].T, g_flat, out=g_tap)
-                gx[b] = pad[:, padding:padding + h, padding:padding + w]
+                gx[b] = interior
         if wn.requires_grad:
             wn.accum(gw.transpose(3, 2, 0, 1))
         if xn.requires_grad:
@@ -990,24 +987,18 @@ def maxpool2(x: Tensor) -> Tensor:
     return Tensor._make(out_data, (xn,), bw)
 
 
-_lerp_cache: dict = {}
-
-
 def _lerp_matrix(length: int, dtype) -> np.ndarray:
-    """(2L, L) doubling matrix: bilinear, half-pixel centers, edges clamped."""
-    key = (length, np.dtype(dtype).str)
-    m = _lerp_cache.get(key)
-    if m is None:
-        m = np.zeros((2 * length, length), dtype=np.float64)
-        for i in range(2 * length):
-            src = (i + 0.5) / 2.0 - 0.5
-            j0 = int(np.floor(src))
-            t = src - j0
-            m[i, min(max(j0, 0), length - 1)] += 1.0 - t
-            m[i, min(max(j0 + 1, 0), length - 1)] += t
-        m = m.astype(dtype)
-        _lerp_cache[key] = m
-    return m
+    """(2L, L) doubling matrix: bilinear, half-pixel centers, edges clamped.
+    Row i adds ``1 - t`` then ``t`` at the clamped pixels either side of
+    ``(i + 0.5) / 2 - 0.5``, as the loop in ``tests/plain_forms.py`` does."""
+    rows = np.arange(2 * length)
+    src = (rows + 0.5) / 2.0 - 0.5
+    j0 = np.floor(src)
+    t = src - j0
+    m = np.zeros((2 * length, length), dtype=np.float64)
+    np.add.at(m, (rows, np.clip(j0, 0, length - 1).astype(np.intp)), 1.0 - t)
+    np.add.at(m, (rows, np.clip(j0 + 1, 0, length - 1).astype(np.intp)), t)
+    return m.astype(dtype)
 
 
 def upsample_bilinear2(x: Tensor) -> Tensor:
@@ -1072,6 +1063,11 @@ def directional_avgpool(x: Tensor, axis: str) -> Tensor:
 # -- batch normalization -------------------------------------------------
 
 
+# batch norm's running-moment rate and variance floor, training and folded alike
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
+
 class RunningMoments:
     """Per-channel EMA of batch mean/variance (the non-trainable BN state)."""
 
@@ -1082,11 +1078,11 @@ class RunningMoments:
         self.var = np.ones(channels, dtype=dtype)
 
 
-def fold_batchnorm(weight: Tensor, gamma: Tensor, beta: Tensor, state: RunningMoments,
-                   eps: float = 1e-5) -> tuple[Tensor, Tensor]:
+def fold_batchnorm(weight: Tensor, gamma: Tensor, beta: Tensor,
+                   state: RunningMoments) -> tuple[Tensor, Tensor]:
     """Weight and bias of the one conv that computes conv -> eval-mode BN.
 
-    With ``scale = gamma * ivar``, where ``ivar = 1 / sqrt(var + eps)`` is
+    With ``scale = gamma * ivar``, where ``ivar = 1 / sqrt(var + BN_EPS)`` is
     formed from the stored variance in its own dtype and then cast to the
     weight's, ``w' = w * scale`` per output channel and
     ``b' = beta - mean * scale`` (Jacob et al., arXiv:1712.05877 §3.2).
@@ -1095,24 +1091,25 @@ def fold_batchnorm(weight: Tensor, gamma: Tensor, beta: Tensor, state: RunningMo
     Tensor ops, so gradients reach `weight`, `gamma` and `beta`.
     """
     mean = Tensor(state.mean.astype(weight.dtype), check=False)
-    ivar = Tensor((1.0 / np.sqrt(state.var + eps)).astype(weight.dtype), check=False)
+    ivar = Tensor((1.0 / np.sqrt(state.var + BN_EPS)).astype(weight.dtype), check=False)
     scale = gamma * ivar
     w = weight * scale.reshape(-1, 1, 1, 1)
     b = beta - mean * scale
     return w, b
 
 
-def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: RunningMoments,
-                momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: RunningMoments) -> Tensor:
     """Per-channel normalization with batch statistics and an affine
-    transform; updates `state` by EMA (variance stored unbiased).
+    transform; updates `state` by EMA at rate ``BN_MOMENTUM`` (variance
+    stored unbiased).
 
     This is the training-mode op only. Eval mode never normalizes an
     activation: `fold_batchnorm` folds the stored moments and the affine
     into the preceding conv.
 
     Every output, gradient and running moment has the same bytes as the
-    plain form ``xhat = (x - mean) * ivar``, ``out = gamma * xhat + beta``
+    plain form ``xhat = (x - mean) * ivar`` with
+    ``ivar = 1 / sqrt(var + BN_EPS)``, ``out = gamma * xhat + beta``
     with numpy's ``mean``/``var`` over (N, H, W), and backward
     ``ivar * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))``: the same
     operations run in the same order, in place in fresh buffers. Each
@@ -1145,14 +1142,14 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: RunningMoments,
     xhat = d - mean.reshape(1, c, 1, 1)
     out_data = np.multiply(xhat, xhat)
     var = out_data.sum(axis=axes) / m
-    ivar = (1.0 / np.sqrt(var + eps)).reshape(1, c, 1, 1)
+    ivar = (1.0 / np.sqrt(var + BN_EPS)).reshape(1, c, 1, 1)
     xhat *= ivar
     np.multiply(g_d, xhat, out=out_data)
     beta_d = beta.data.reshape(1, c, 1, 1)
     out_data += beta_d
-    state.mean[:] = (1.0 - momentum) * state.mean + momentum * mean
+    state.mean[:] = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mean
     unbias = m / (m - 1)
-    state.var[:] = (1.0 - momentum) * state.var + momentum * var * unbias
+    state.var[:] = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var * unbias
 
     def rebuild(b, out):
         np.multiply(g_d[0], xhat[b], out=out)

@@ -62,6 +62,11 @@ class TrainConfig:
             raise ConfigError("restart_lr_scale must be in (0,1]")
         if self.restart_period_multiplier < 1.0:
             raise ConfigError("restart_period_multiplier must be >= 1")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0,1), got {getattr(self, name)}")
+        if self.adam_eps <= 0.0:
+            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
 
 
 def lr_at(epoch_fraction: float, cfg: TrainConfig) -> float:
@@ -107,7 +112,10 @@ def adam_init(store: ParameterStore) -> AdamState:
 
 def adam_step(store: ParameterStore, state: AdamState, lr: float,
               cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update over every trainable parameter."""
+    """One bias-corrected Adam update over every trainable parameter.
+
+    Raises NumericError naming the first parameter the update leaves
+    non-finite, so no checkpoint of a diverged step is written."""
     state.step += 1
     t = state.step
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
@@ -125,6 +133,9 @@ def adam_step(store: ParameterStore, state: AdamState, lr: float,
         v += (1.0 - b2) * g * g
         update = (m / c1) / (np.sqrt(v / c2) + eps)
         p.data -= np.float32(lr) * update
+        if not np.isfinite(p.data).all():
+            raise NumericError(
+                f"Adam step {t} at lr {lr:.3e} left parameter {name} non-finite")
 
 
 # -- batching -----------------------------------------------------------

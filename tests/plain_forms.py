@@ -33,6 +33,19 @@ def batchnorm2d_plain(x, gamma, beta, state, training, g, momentum=0.1, eps=1e-5
     return out, dx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
 
 
+def lerp_matrix_plain(length: int, dtype) -> np.ndarray:
+    """The (2L, L) bilinear doubling matrix, one row at a time: half-pixel
+    centers, edges clamped, ``1 - t`` added before ``t``."""
+    m = np.zeros((2 * length, length), dtype=np.float64)
+    for i in range(2 * length):
+        src = (i + 0.5) / 2.0 - 0.5
+        j0 = int(np.floor(src))
+        t = src - j0
+        m[i, min(max(j0, 0), length - 1)] += 1.0 - t
+        m[i, min(max(j0 + 1, 0), length - 1)] += t
+    return m.astype(dtype)
+
+
 def fold_tolerance(y: np.ndarray) -> float:
     """The documented bound on |folded - unfused|: 32 machine epsilons of
     the dtype times the largest output magnitude."""

@@ -62,10 +62,35 @@ def _non_default(spec):
     if spec.kind == "int":
         return spec.default + 1
     if spec.kind == "float":
-        return spec.default * 1.5
+        # Adam's betas must stay below 1, so they move halfway to it
+        return (1.0 + spec.default) / 2 if spec.field.startswith("adam_beta") \
+            else spec.default * 1.5
     if spec.kind == "ints":
         return tuple(v + 1 for v in spec.default)
     return tuple(v * 1.5 for v in spec.default)
+
+
+# one out-of-range value per range-checked key, rejected when the key is set
+# or when the builder of its section validates it
+OUT_OF_RANGE = {
+    "arch.levels": "0", "arch.base_channels": "0", "arch.ca_reduction": "0",
+    "arch.ca_min_mid": "0",
+    "loss.w_focal": "-0.1", "loss.w_dice": "-0.1", "loss.focal_gamma": "-1",
+    "loss.dice_gamma": "0", "loss.smooth_eps": "0", "loss.class_weights": "1,0,1,1,1,1",
+    "train.epochs": "0", "train.batch_size": "0", "train.init_lr": "0",
+    "train.max_lr": "1e-13", "train.first_restart_epochs": "5", "train.warmup_epochs": "-1",
+    "train.restart_lr_scale": "1.5", "train.restart_period_multiplier": "0.5",
+    "train.adam_beta1": "1", "train.adam_beta2": "1", "train.adam_eps": "0",
+    "train.seed": "-1",
+    "data.aug_prob": "1.5", "data.rot_degrees": "0,10", "data.crop_sizes": "1,400",
+    "data.blur_sigma": "0,0", "data.noise_sigma": "-0.01", "data.sp_rate": "1.5",
+    "data.phantom.slices": "0", "data.phantom.size": "8", "data.phantom.seed": "-1",
+    **{f"data.phantom.p_{v}": "1.5" for v in D.VESSELS},
+    **{f"data.phantom.px_{v}": "0,5" for v in D.VESSELS},
+    "data.phantom.hu_cac": "800,130", "data.phantom.hu_bone": "1200,700",
+}
+SECTION_BUILDERS = (("arch.", Config.arch), ("loss.", Config.loss), ("train.", Config.train),
+                    ("data.phantom.", Config.phantom), ("data.", Config.augment))
 
 
 class TestConfig:
@@ -130,6 +155,13 @@ class TestConfig:
         expected.validate()
         assert _same(built, expected)
         assert not _same(getattr(built, name), getattr(default, name))
+
+    @pytest.mark.parametrize("key", sorted(OUT_OF_RANGE))
+    def test_out_of_range_value_rejected(self, key):
+        assert key in _REGISTRY
+        build_section = next(b for prefix, b in SECTION_BUILDERS if key.startswith(prefix))
+        with pytest.raises(ConfigError):
+            build_section(load_config(None, [f"{key}={OUT_OF_RANGE[key]}"]))
 
     def test_vessel_keys_fill_phantom_dicts(self):
         p_lesion = {"lm": 0.1, "lad": 0.2, "lcx": 0.3, "rca": 0.4}
@@ -417,6 +449,34 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
+
+    @pytest.mark.parametrize("pair, rc, message", [
+        pytest.param("train.adam_beta1=1", 1,
+                     "config error: adam_beta1 must be in [0,1), got 1.0\n", id="beta1"),
+        pytest.param("train.adam_beta2=1", 1,
+                     "config error: adam_beta2 must be in [0,1), got 1.0\n", id="beta2"),
+        pytest.param("data.blur_sigma=0,0", 1,
+                     "config error: blur_sigma values must be > 0, got (0.0, 0.0)\n",
+                     id="blur-zero"),
+        pytest.param("data.blur_sigma=-1,-0.5", 1,
+                     "config error: blur_sigma values must be > 0, got (-1.0, -0.5)\n",
+                     id="blur-negative"),
+        # finite as a float64, inf as the float32 step size: the first step
+        # leaves every parameter non-finite
+        pytest.param("train.max_lr=1e39", 2, "numeric error: Adam step 1 at lr 1.000e+39 "
+                     "left parameter enc0.rica.f1.conv.weight non-finite\n", id="max_lr",
+                     marks=pytest.mark.filterwarnings(
+                         "ignore:overflow encountered in cast:RuntimeWarning")),
+    ])
+    def test_train_setting_that_cannot_train_exits_cleanly(self, pair, rc, message,
+                                                           micro_dataset, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", "--out", str(out), "--set", f"data.train_dir={micro_dataset}",
+                     *SHORT_TRAIN, *TINY_NET, *TINY_AUG, "--set", "train.epochs=1",
+                     "--set", "train.warmup_epochs=0", "--set", pair]) == rc
+        err = capsys.readouterr().err
+        assert err == message and "Traceback" not in err
+        assert not list(out.glob("*.rckp"))
 
     @pytest.mark.parametrize("value", ["48,,56", "48,", ",48", "48, ,56"])
     def test_empty_list_item_exits_1(self, value, tmp_path, capsys):

@@ -21,7 +21,7 @@ from cacseg.losses import LossConfig, class_weights_from_counts, loss_by_variant
 from cacseg.network import ArchConfig, build, forward
 from cacseg.params import ParameterStore, load_tns, save_tns
 from cacseg.tensor import RunningMoments, Tensor
-from plain_forms import batchnorm2d_plain, fold_tolerance
+from plain_forms import batchnorm2d_plain, fold_tolerance, lerp_matrix_plain
 
 
 def t64(arr, requires_grad=True):
@@ -78,8 +78,8 @@ def maxpool2_plain(x, g):
 
 def upsample_bilinear2_plain(x, g):
     """Reference upsample, two tensordots per direction: (out, dx)."""
-    mh = T._lerp_matrix(x.shape[2], x.dtype)
-    mw = T._lerp_matrix(x.shape[3], x.dtype)
+    mh = lerp_matrix_plain(x.shape[2], x.dtype)
+    mw = lerp_matrix_plain(x.shape[3], x.dtype)
     yh = np.tensordot(mh, x, axes=([1], [2])).transpose(1, 2, 0, 3)
     out = np.tensordot(mw, yh, axes=([1], [3])).transpose(1, 2, 3, 0)
     gh = np.tensordot(mw.T, g, axes=([1], [3])).transpose(1, 2, 3, 0)
@@ -853,6 +853,13 @@ class TestResampling:
         y = T.upsample_bilinear2(x)
         assert y.shape == (2, 3, 8, 10)
         np.testing.assert_allclose(y.data, 1.75, rtol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_lerp_matrix_matches_row_loop(self, dtype):
+        for length in range(1, 257):
+            m = T._lerp_matrix(length, dtype)
+            want = lerp_matrix_plain(length, dtype)
+            assert m.dtype == dtype and m.tobytes() == want.tobytes(), length
 
     def test_directional_avgpool_values(self):
         x = Tensor(np.array([[[[1.0, 3.0], [5.0, 7.0]]]], np.float32))
