@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from . import data as D
@@ -58,11 +59,11 @@ def cmd_synth(cfg: Config, args) -> int:
 def cmd_train(cfg: Config, args) -> int:
     out = _out_dir(args)
     arch = cfg.arch()
+    train_cfg = cfg.train()
     train_ds = _dataset(cfg, "data.train_dir")
     val_ds = _dataset(cfg, "data.val_dir", fallback="data.train_dir")
     loss_cfg = cfg.loss(pixel_counts=train_ds.pixel_counts())
     cfg.record_loss(resolve_variant(loss_cfg))
-    train_cfg = cfg.train()
     aug_cfg = cfg.augment()
     resume = cfg["train.resume"] or None
     cfg.dump(out / RESOLVED_NAME)
@@ -177,8 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args) -> int:
     try:
         cfg = load_config(args.config, args.overrides)
         return _COMMANDS[args.command][0](cfg, args)
@@ -191,6 +191,20 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    """Run one command. Warnings raised while it runs (numpy's overflow
+    warnings, say) are held until it returns and shown only if it
+    succeeds, so a failed command's stderr is its one prefixed line."""
+    args = build_parser().parse_args(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        rc = _run(args)
+    if rc == 0:
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                                   source=w.source)
+    return rc
 
 
 if __name__ == "__main__":

@@ -7,14 +7,22 @@ additively across fan-out, so ``y = x + x`` yields ``grad(x) == 2``.
 
 The recorded graph is made of nodes, not values. Every tensor owns one
 node, which holds its gradient slot, its backward closure, the nodes of
-its inputs and its shape; the tensor itself holds only ``data``. An op's
-closure captures its inputs' nodes plus only what its backward cannot
-rebuild cheaply: the weight's data, the normalized BN input ``xhat``
-(batch norm's constants are ``BN_MOMENTUM`` and ``BN_EPS``), the ReLU
-sign mask as packed bits (1 bit per element), the max-pool route as two
-packed bit planes (2 bits per window, no input or output), both operands
-of a product, the two gates of ``gate``, and the input of a conv or a
-gate when it has no rebuild.
+its inputs and its shape; the tensor itself holds only ``data``. Most
+ops record through one of two helpers, given the output and a gradient
+function per input: ``_record`` for a one-input op, ``Tensor._binary``
+for a broadcasting two-input op, which sums each gradient down to its
+operand's shape. Six keep hand-written closures: ``relu`` and
+``maxpool2`` keep their switches as packed bits, and ``gate``,
+``concat``, ``conv2d`` and ``batchnorm2d`` fill several inputs'
+gradients in one pass. A closure, with the gradient functions it holds,
+captures its inputs' nodes plus only what its backward cannot rebuild
+cheaply: the weight's data, the normalized BN input ``xhat`` (batch
+norm's constants are ``BN_MOMENTUM`` and ``BN_EPS``), the ReLU sign mask
+as packed bits (1 bit per element), the max-pool route as two packed
+bit planes (2 bits per window, no input or output), both operands of a
+product or a quotient, the output of ``exp``, ``sqrt`` and ``sigmoid``,
+the input of ``log``, the two gates of ``gate``, and the input of a
+conv or a gate when it has no rebuild.
 A node may also carry a rebuild, which writes one image of its data
 back, byte for byte, from state the graph keeps anyway: the output of
 batch norm has one (``gamma * xhat + beta``) and so has every gate's;
@@ -310,6 +318,19 @@ class Tensor:
             return other
         return Tensor(np.asarray(other, dtype=self.dtype), check=False)
 
+    def _binary(self, other: "Tensor", out_data: np.ndarray, grad_a, grad_b,
+                rebuild=None) -> "Tensor":
+        """`out_data` recorded as a broadcasting op of `self` and `other`:
+        backward accumulates ``grad_a(g)`` into `self` and ``grad_b(g)``
+        into `other`, each summed down to its operand's shape."""
+        an, bn = self._node, other._node
+
+        def bw(g):
+            an.accum(_unbroadcast(grad_a(g), an.shape))
+            bn.accum(_unbroadcast(grad_b(g), bn.shape))
+
+        return Tensor._make(out_data, (an, bn), bw, rebuild)
+
     def __add__(self, other):
         """Broadcasting sum. When both operands carry a rebuild and have
         the output's shape and dtype, the output carries one too: the
@@ -317,11 +338,6 @@ class Tensor:
         b = self._coerce(other)
         out_data = self.data + b.data
         an, bn = self._node, b._node
-
-        def bw(g):
-            an.accum(_unbroadcast(g, an.shape))
-            bn.accum(_unbroadcast(g, bn.shape))
-
         rebuild = None
         if (an.rebuild is not None and bn.rebuild is not None
                 and an.shape == bn.shape == out_data.shape and self.dtype == b.dtype):
@@ -332,60 +348,35 @@ class Tensor:
                 out += rebuild_b(i, np.empty(out.shape, out.dtype))
                 return out
 
-        return Tensor._make(out_data, (an, bn), bw, rebuild)
+        return self._binary(b, out_data, lambda g: g, lambda g: g, rebuild)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         b = self._coerce(other)
-        out_data = self.data - b.data
-        an, bn = self._node, b._node
-
-        def bw(g):
-            an.accum(_unbroadcast(g, an.shape))
-            bn.accum(_unbroadcast(-g, bn.shape))
-
-        return Tensor._make(out_data, (an, bn), bw)
+        return self._binary(b, self.data - b.data, lambda g: g, lambda g: -g)
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
         b = self._coerce(other)
-        out_data = self.data * b.data
         a_d, b_d = self.data, b.data
-        an, bn = self._node, b._node
-
-        def bw(g):
-            an.accum(_unbroadcast(g * b_d, an.shape))
-            bn.accum(_unbroadcast(g * a_d, bn.shape))
-
-        return Tensor._make(out_data, (an, bn), bw)
+        return self._binary(b, a_d * b_d, lambda g: g * b_d, lambda g: g * a_d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         b = self._coerce(other)
-        out_data = self.data / b.data
         a_d, b_d = self.data, b.data
-        an, bn = self._node, b._node
-
-        def bw(g):
-            an.accum(_unbroadcast(g / b_d, an.shape))
-            bn.accum(_unbroadcast(-g * a_d / (b_d * b_d), bn.shape))
-
-        return Tensor._make(out_data, (an, bn), bw)
+        return self._binary(b, a_d / b_d, lambda g: g / b_d,
+                            lambda g: -g * a_d / (b_d * b_d))
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
 
     def __neg__(self):
-        xn = self._node
-
-        def bw(g):
-            xn.accum(-g)
-
-        return Tensor._make(-self.data, (xn,), bw)
+        return _record(self, -self.data, lambda g: -g)
 
     def pow(self, exponent: float, grad_floor: float = 0.0) -> "Tensor":
         """Elementwise power with a real exponent.
@@ -396,119 +387,87 @@ class Tensor:
         is unbounded).
         """
         d = self.data
-        out_data = d ** exponent
-        xn = self._node
 
-        def bw(g):
+        def grad(g):
             base = np.maximum(d, grad_floor) if grad_floor > 0.0 else d
-            xn.accum(g * exponent * base ** (exponent - 1.0))
+            return g * exponent * base ** (exponent - 1.0)
 
-        return Tensor._make(out_data, (xn,), bw)
+        return _record(self, d ** exponent, grad)
 
     def __pow__(self, exponent: float) -> "Tensor":
         return self.pow(exponent)
 
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
-        xn = self._node
-
-        def bw(g):
-            xn.accum(g * out_data)
-
-        return Tensor._make(out_data, (xn,), bw)
+        return _record(self, out_data, lambda g: g * out_data)
 
     def log(self) -> "Tensor":
         d = self.data
-        xn = self._node
-
-        def bw(g):
-            xn.accum(g / d)
-
-        return Tensor._make(np.log(d), (xn,), bw)
+        return _record(self, np.log(d), lambda g: g / d)
 
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self.data)
-        xn = self._node
-
-        def bw(g):
-            xn.accum(g * 0.5 / out_data)
-
-        return Tensor._make(out_data, (xn,), bw)
+        return _record(self, out_data, lambda g: g * 0.5 / out_data)
 
     def clip(self, lo: Optional[float], hi: Optional[float]) -> "Tensor":
         d = self.data
-        out_data = np.clip(d, lo, hi)
         inside = np.ones_like(d, dtype=bool)
         if lo is not None:
             inside &= d >= lo
         if hi is not None:
             inside &= d <= hi
         _trace(inside)
-        xn = self._node
-
-        def bw(g):
-            xn.accum(g * inside)
-
-        return Tensor._make(out_data, (xn,), bw)
+        return _record(self, np.clip(d, lo, hi), lambda g: g * inside)
 
     # -- reductions ------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-        xn = self._node
-
-        def bw(g):
-            xn.accum(_spread(g, xn.shape, axis, keepdims))
-
-        return Tensor._make(out_data, (xn,), bw)
+        shape = self.shape
+        return _record(self, self.data.sum(axis=axis, keepdims=keepdims),
+                       lambda g: _spread(g, shape, axis, keepdims))
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.mean(axis=axis, keepdims=keepdims)
         count = self.data.size // max(out_data.size, 1)
-        xn = self._node
-
-        def bw(g):
-            xn.accum(_spread(g, xn.shape, axis, keepdims) / count)
-
-        return Tensor._make(out_data, (xn,), bw)
+        shape = self.shape
+        return _record(self, out_data, lambda g: _spread(g, shape, axis, keepdims) / count)
 
     # -- shape ops -------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out_data = self.data.reshape(shape)
-        xn = self._node
-
-        def bw(g):
-            xn.accum(g.reshape(xn.shape))
-
-        return Tensor._make(out_data, (xn,), bw)
+        in_shape = self.shape
+        return _record(self, self.data.reshape(shape), lambda g: g.reshape(in_shape))
 
     def transpose(self, axes: Sequence[int]) -> "Tensor":
         axes = tuple(axes)
         inv = tuple(np.argsort(axes))
-        out_data = self.data.transpose(axes)
-        xn = self._node
-
-        def bw(g):
-            xn.accum(g.transpose(inv))
-
-        return Tensor._make(out_data, (xn,), bw)
+        return _record(self, self.data.transpose(axes), lambda g: g.transpose(inv))
 
     def narrow(self, axis: int, start: int, length: int) -> "Tensor":
         idx = [slice(None)] * self.ndim
         idx[axis] = slice(start, start + length)
         idx = tuple(idx)
-        out_data = self.data[idx]
-        xn = self._node
+        shape = self.shape
 
-        def bw(g):
-            full = np.zeros(xn.shape, dtype=g.dtype)
+        def grad(g):
+            full = np.zeros(shape, dtype=g.dtype)
             full[idx] = g
-            xn.accum(full)
+            return full
 
-        return Tensor._make(out_data, (xn,), bw)
+        return _record(self, self.data[idx], grad)
+
+
+def _record(x: Tensor, out_data: np.ndarray, grad, rebuild=None) -> Tensor:
+    """`out_data` recorded as a one-input op of `x`: backward accumulates
+    ``grad(g)`` into `x`. The output carries `rebuild` (see `_Node`)."""
+    xn = x._node
+
+    def bw(g):
+        xn.accum(grad(g))
+
+    return Tensor._make(out_data, (xn,), bw, rebuild)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -547,10 +506,9 @@ def relu(x: Tensor) -> Tensor:
     out_data = np.maximum(x.data, 0)
     xn = x._node
     grad = _grad_enabled and xn.requires_grad
-    if not grad and _switch_trace is None:
-        return Tensor._make(out_data, (xn,), None)
-    mask = x.data > 0
-    _trace(mask)
+    if grad or _switch_trace is not None:
+        mask = x.data > 0
+        _trace(mask)
     if not grad:
         return Tensor._make(out_data, (xn,), None)
     bits = np.packbits(mask, axis=None)
@@ -575,12 +533,7 @@ def sigmoid(x: Tensor) -> Tensor:
     e = np.exp(-np.abs(d))
     den = 1.0 + e
     out_data = np.where(d >= 0, 1.0 / den, e / den)
-    xn = x._node
-
-    def bw(g):
-        xn.accum(g * out_data * (1.0 - out_data))
-
-    return Tensor._make(out_data, (xn,), bw)
+    return _record(x, out_data, lambda g: g * out_data * (1.0 - out_data))
 
 
 def softmax_channel(x: Tensor) -> Tensor:
@@ -591,13 +544,12 @@ def softmax_channel(x: Tensor) -> Tensor:
     shifted = d - d.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=1, keepdims=True)
-    xn = x._node
 
-    def bw(g):
+    def grad(g):
         dot = (g * p).sum(axis=1, keepdims=True)
-        xn.accum(p * (g - dot))
+        return p * (g - dot)
 
-    return Tensor._make(p, (xn,), bw)
+    return _record(x, p, grad)
 
 
 def _reader(t: Tensor) -> Callable[[int, np.ndarray], np.ndarray]:
@@ -809,15 +761,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     whole and accumulates grad-x. No full-batch padded copy, accumulator
     or widened gradient is built, and no column buffer either. The
     backward closure holds the weight's data, whose transposed taps
-    backward builds again, and the reader: a copy of the stored unpadded
-    input, or, when the input's node carries a rebuild (see `_Node`;
-    batch norm, a relu of it, a gate, a sum, a channel concat and an
-    upsample can carry one), that rebuild, which writes each image back
-    from state the graph keeps anyway with the forward's operations in
-    their order, so no input is kept (recompute over store, Chen et al.,
-    arXiv:1604.06174). Either way the bytes are those the forward read.
-    A rebuild relies on no parameter being written between a forward and
-    its backward.
+    backward builds again, and the reader: the input's rebuild when its
+    node carries one (see `_Node`), so no input is kept (recompute over
+    store, Chen et al., arXiv:1604.06174), else a copy from the stored
+    unpadded input. Either way the bytes are those the forward read.
 
     The taps of one image run back to back, so its accumulator stays in
     cache, and an image's output does not depend on the batch it came in.
@@ -961,11 +908,10 @@ def maxpool2(x: Tensor) -> Tensor:
     out_data = np.maximum(np.maximum(taps[3], taps[2]), np.maximum(taps[1], taps[0]))
     xn = x._node
     grad = _grad_enabled and xn.requires_grad
-    if not grad and _switch_trace is None:
-        return Tensor._make(out_data, (xn,), None)
-    route = _pool_route(taps, out_data)
-    if _switch_trace is not None:
-        _trace(route.astype(np.intp))
+    if grad or _switch_trace is not None:
+        route = _pool_route(taps, out_data)
+        if _switch_trace is not None:
+            _trace(route.astype(np.intp))
     if not grad:
         return Tensor._make(out_data, (xn,), None)
     low = np.packbits(route & 1, axis=None)
@@ -1018,21 +964,16 @@ def upsample_bilinear2(x: Tensor) -> Tensor:
     mh = _lerp_matrix(h, x.dtype)
     mw = _lerp_matrix(w, x.dtype)
     out_data = np.matmul(np.matmul(mh, x.data), mw.T)
-    xn = x._node
-
-    def bw(g):
-        xn.accum(np.matmul(mh.T, np.matmul(g, mw)))
-
     rebuild = None
-    if xn.rebuild is not None:
-        rebuild_x, dtype = xn.rebuild, x.dtype
+    if x._node.rebuild is not None:
+        rebuild_x, dtype = x._node.rebuild, x.dtype
 
         def rebuild(i, out):
             x_i = rebuild_x(i, np.empty((c, h, w), dtype))
             out[...] = np.matmul(np.matmul(mh, x_i), mw.T)
             return out
 
-    return Tensor._make(out_data, (xn,), bw, rebuild)
+    return _record(x, out_data, lambda g: np.matmul(mh.T, np.matmul(g, mw)), rebuild)
 
 
 def directional_avgpool(x: Tensor, axis: str) -> Tensor:
@@ -1052,12 +993,8 @@ def directional_avgpool(x: Tensor, axis: str) -> Tensor:
         raise DimensionError(f"directional_avgpool axis must be 'height' or 'width', got {axis!r}")
     extent = x.shape[ax]
     out_data = x.data.sum(axis=ax, keepdims=True) / extent
-    xn = x._node
-
-    def bw(g):
-        xn.accum(np.broadcast_to(g / extent, xn.shape))
-
-    return Tensor._make(out_data, (xn,), bw)
+    shape = x.shape
+    return _record(x, out_data, lambda g: np.broadcast_to(g / extent, shape))
 
 
 # -- batch normalization -------------------------------------------------

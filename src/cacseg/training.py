@@ -53,6 +53,12 @@ class TrainConfig:
             raise ConfigError(
                 f"need 0 < init_lr <= max_lr, got {self.init_lr} and {self.max_lr}"
             )
+        # adam_step takes the step size as a float32
+        largest = float(np.finfo(np.float32).max)
+        if self.max_lr > largest:
+            raise ConfigError(
+                f"max_lr must be <= {largest:.4e} (float32's largest value), got {self.max_lr}"
+            )
         if not 0 <= self.warmup_epochs < self.first_restart_epochs:
             raise ConfigError(
                 f"warmup_epochs {self.warmup_epochs} must be < "

@@ -4,16 +4,18 @@ import dataclasses
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from cacseg import cli
 from cacseg import data as D
 from cacseg import training as TR
 from cacseg.attention import CAConfig
 from cacseg.cli import main
 from cacseg.config import _REGISTRY, Config, _format_value, load_config
-from cacseg.errors import ConfigError
+from cacseg.errors import ConfigError, NumericError
 from cacseg.evaluation import dice_per_class, dice_per_slice_mean
 from cacseg.losses import LossConfig
 from cacseg.network import ArchConfig, build, forward
@@ -461,12 +463,9 @@ class TestCli:
         pytest.param("data.blur_sigma=-1,-0.5", 1,
                      "config error: blur_sigma values must be > 0, got (-1.0, -0.5)\n",
                      id="blur-negative"),
-        # finite as a float64, inf as the float32 step size: the first step
-        # leaves every parameter non-finite
-        pytest.param("train.max_lr=1e39", 2, "numeric error: Adam step 1 at lr 1.000e+39 "
-                     "left parameter enc0.rica.f1.conv.weight non-finite\n", id="max_lr",
-                     marks=pytest.mark.filterwarnings(
-                         "ignore:overflow encountered in cast:RuntimeWarning")),
+        # finite as a float64, inf as the float32 step size Adam takes
+        pytest.param("train.max_lr=1e39", 1, "config error: max_lr must be <= 3.4028e+38 "
+                     "(float32's largest value), got 1e+39\n", id="max_lr"),
     ])
     def test_train_setting_that_cannot_train_exits_cleanly(self, pair, rc, message,
                                                            micro_dataset, tmp_path, capsys):
@@ -477,6 +476,47 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == message and "Traceback" not in err
         assert not list(out.glob("*.rckp"))
+
+    def test_float32_learning_rate_bound_is_checked_before_any_dataset(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", "--out", str(out), "--set", "train.max_lr=1e39",
+                     "--set", f"data.train_dir={tmp_path / 'absent'}"]) == 1
+        assert capsys.readouterr().err.startswith("config error: max_lr must be <=")
+        largest = float(np.finfo(np.float32).max)
+        TR.TrainConfig(max_lr=largest).validate()
+        with pytest.raises(ConfigError, match="max_lr"):
+            TR.TrainConfig(max_lr=float("inf")).validate()
+        with pytest.raises(ConfigError, match="init_lr <= max_lr"):
+            TR.TrainConfig(init_lr=1e39, max_lr=largest).validate()
+
+    def test_failed_run_prints_one_line_without_numpy_warnings(self, micro_dataset, tmp_path):
+        # in-process, pytest would take the warnings before they reach stderr
+        run = subprocess.run(
+            [sys.executable, "-m", "cacseg.cli", "train", "--out", str(tmp_path / "out"),
+             "--set", f"data.train_dir={micro_dataset}", *SHORT_TRAIN, *TINY_NET, *TINY_AUG,
+             "--set", "train.warmup_epochs=0", "--set", "train.max_lr=1e25"],
+            capture_output=True, text=True)
+        assert run.returncode == 2
+        assert run.stderr.startswith("numeric error: non-finite loss at epoch ")
+        assert run.stderr.count("\n") == 1, run.stderr
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_warnings_are_shown_only_when_the_command_succeeds(self, fails, monkeypatch,
+                                                               tmp_path, capsys):
+        def command(cfg, args):
+            warnings.warn("held until the command returns")
+            if fails:
+                raise NumericError("it failed")
+            return 0
+
+        monkeypatch.setitem(cli._COMMANDS, "score", (command, ""))
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            rc = main(["score", "--out", str(tmp_path / "out")])
+        assert rc == (2 if fails else 0)
+        assert [str(w.message) for w in shown] == \
+            ([] if fails else ["held until the command returns"])
+        assert capsys.readouterr().err == ("numeric error: it failed\n" if fails else "")
 
     @pytest.mark.parametrize("value", ["48,,56", "48,", ",48", "48, ,56"])
     def test_empty_list_item_exits_1(self, value, tmp_path, capsys):

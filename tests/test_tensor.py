@@ -1,6 +1,7 @@
 """Tensor engine tests: forward semantics, gradients, serialization."""
 
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -1002,6 +1003,41 @@ class TestBackward:
                 assert not isinstance(cell.cell_contents, Tensor), node._backward_fn
             roots.extend(p for p in node._parents if p._backward_fn is not None)
         assert len(seen) > 50
+
+    def test_recorded_closures_hold_only_what_their_gradient_reads(self):
+        def held(t):
+            """The buffers the backward closure of `t` holds, following the
+            functions in its cells to any depth, as tools/saved_state.py does."""
+            buffers, functions, seen = [], [t._backward_fn], set()
+            while functions:
+                fn = functions.pop()
+                if id(fn) in seen:
+                    continue
+                seen.add(id(fn))
+                for cell in fn.__closure__ or ():
+                    value = cell.cell_contents
+                    for item in value if isinstance(value, (tuple, list)) else (value,):
+                        if isinstance(item, np.ndarray):
+                            while isinstance(item.base, np.ndarray):
+                                item = item.base
+                            buffers.append(item)
+                        elif isinstance(item, types.FunctionType):
+                            functions.append(item)
+            return buffers
+
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.random((3, 4), dtype=np.float32) + 0.5, requires_grad=True)
+        y = Tensor(rng.random((3, 4), dtype=np.float32) + 0.5, requires_grad=True)
+        for name, out in {"-x": -x, "x + y": x + y, "x - y": x - y,
+                          "reshape": x.reshape(4, 3), "transpose": x.transpose((1, 0)),
+                          "sum": x.sum(axis=0), "mean": x.mean(),
+                          "narrow": x.narrow(0, 1, 2)}.items():
+            assert [a.shape for a in held(out) if a.size >= x.size] == [], name
+        for name, out in {"x * y": x * y, "x / y": x / y}.items():
+            assert set(map(id, held(out))) == {id(x.data), id(y.data)}, name
+        for name, out in {"exp": x.exp(), "sqrt": x.sqrt(), "sigmoid": T.sigmoid(x)}.items():
+            assert set(map(id, held(out))) == {id(out.data)}, name
+        assert set(map(id, held(x.log()))) == {id(x.data)}
 
     def test_desk64_step_releases_graph(self):
         # One desk64-shaped training step: L2, base 8, batch 16, 64x64,

@@ -117,6 +117,16 @@ class TestAdam:
             runs.append(store.param("w").data.tobytes())
         assert runs[0] == runs[1]
 
+    def test_step_past_float32_range_names_parameter(self):
+        # validate bounds the lr by float32's largest value, but a step at
+        # such an lr can still carry a parameter past it
+        store = self.make_store(-3e38)
+        state = TR.adam_init(store)
+        store.param("w").grad = np.array([1.0], np.float32)
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericError, match="Adam step 1 at lr 3.000e\\+38 left parameter w non-finite"):
+            TR.adam_step(store, state, lr=3e38, cfg=TR.TrainConfig())
+
     def test_missing_gradient_names_parameter(self):
         store = self.make_store(1.0)
         state = TR.adam_init(store)

@@ -7,10 +7,13 @@ under tracemalloc, then walks the recorded graph from the loss. Every
 array a closure captures, directly or in a tuple or list, is charged to
 its underlying buffer (a view counts as the array it views), and each
 buffer once: to the first op, in backward order, whose closure holds it.
-A closure also holds what the functions in its cells hold (a conv's
-rebuild of its input), followed to any depth; a buffer reached only that
-way is charged after every directly held one, so it lands on the op that
-holds it directly when there is one. No buffer of a parameter is
+A recorder's closure (`_record`, `Tensor._binary`) is named after the
+op whose gradient functions it holds (`log`, `__mul__`, `sigmoid`, ...),
+and what those functions hold counts as held directly. A closure also
+holds what the other functions in its cells hold (a conv's rebuild of
+its input), followed to any depth; a buffer reached only that way is
+charged after every directly held one, so it lands on the op that holds
+it directly when there is one. No buffer of a parameter is
 charged, since the store holds those anyway. It prints, per op, the closures
 counted and the MiB they hold, then the total, the traced memory when
 backward starts, the traced peak of the forward and loss above their
@@ -68,6 +71,18 @@ def _op_name(fn) -> str:
     return fn.__qualname__.split(".<locals>")[0].removeprefix("Tensor.")
 
 
+def _closure(fn) -> tuple[str, list]:
+    """(op, values held) of the backward closure `fn`. The closure of a
+    recorder (`_record`, `Tensor._binary`) is named by the gradient
+    functions it holds, and holds what they hold as its own."""
+    op, cells = _op_name(fn), _cells(fn)
+    if op not in ("_record", "_binary"):
+        return op, cells
+    grads = [c for c in cells if isinstance(c, FunctionType)]
+    held = [c for c in cells if not isinstance(c, FunctionType)]
+    return _op_name(grads[0]), held + [c for g in grads for c in _cells(g)]
+
+
 def saved_state(root, params) -> tuple[dict, dict]:
     """({op: MiB}, {op: closures}) of the graph behind the node `root`,
     charging none of the arrays `params`."""
@@ -91,10 +106,10 @@ def saved_state(root, params) -> tuple[dict, dict]:
         fn = node._backward_fn
         if fn is None:
             continue
-        op = _op_name(fn)
+        op, values = _closure(fn)
         closures[op] += 1
         functions = []
-        charge(op, _cells(fn), functions)
+        charge(op, values, functions)
         indirect += [(op, f) for f in functions]
         stack.extend(reversed(node._parents))
     seen_functions = set()
