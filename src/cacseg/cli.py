@@ -19,18 +19,12 @@ from . import gradcheck as G
 from . import training as TR
 from .config import RESOLVED_NAME, Config, load_config
 from .errors import ConfigError, KitError, LabelError
-from .evaluation import (
-    agatston_per_lesion,
-    dice_global,
-    dice_per_slice_mean,
-    dice_report_tsv,
-    export_prediction,
-)
+from .evaluation import agatston_per_lesion, dice_global, dice_per_slice_mean, export_prediction
 from .losses import resolve_variant
 # eval forwards run in training.predict; forward stays importable here
 # because perfbench's per-layer tracer wraps it at this module.
 from .network import forward, load_model  # noqa: F401
-from .params import load_tns, write_atomic
+from .params import load_tns, write_tsv
 
 
 def _out_dir(args) -> Path:
@@ -95,11 +89,11 @@ def cmd_eval(cfg: Config, args) -> int:
                        else (dice_global, "global counts"))
     dice = aggregate((logits.argmax(axis=0), s.mask)
                      for logits, s in TR.predict(store, test_ds, batch))
-    body = dice_report_tsv(dice)
     path = out / "dice.tsv"
-    write_atomic(path, body.encode("utf-8"))
+    text = write_tsv(path, [f"dice_{name}" for name in D.CLASS_NAMES],
+                     [[f"{d:.6f}" for d in dice]])
     print(f"dice report ({mode}): {path}")
-    print(body.strip())
+    print(text.strip())
     return 0
 
 
@@ -126,10 +120,10 @@ def cmd_gradcheck(cfg: Config, args) -> int:
     print(f"elapsed: {elapsed:.1f}s")
     if out is not None:
         cfg.dump(out / RESOLVED_NAME)
-        rows = ["op\tmax_rel_err\ttol\tchecked\texcluded\tstatus"]
-        rows += [f"{r.name}\t{r.max_rel:.6e}\t{r.tol:g}\t{r.checked}\t{r.excluded}\t"
-                 f"{'PASS' if r.passed else 'FAIL'}" for r in results]
-        write_atomic(out / "gradcheck.tsv", ("\n".join(rows) + "\n").encode("utf-8"))
+        write_tsv(out / "gradcheck.tsv",
+                  ("op", "max_rel_err", "tol", "checked", "excluded", "status"),
+                  [(r.name, f"{r.max_rel:.6e}", f"{r.tol:g}", r.checked, r.excluded,
+                    "PASS" if r.passed else "FAIL") for r in results])
     if all(r.passed for r in results):
         return 0
     print("gradient check FAILED", file=sys.stderr)
@@ -144,11 +138,9 @@ def cmd_score(cfg: Config, args) -> int:
     mask = load_tns(cfg["score.mask"])
     report = agatston_per_lesion(mask, hu, cfg["score.pixel_area_mm2"])
     cfg.dump(out / RESOLVED_NAME)
-    lines = ["vessel\tscore"]
-    lines += [f"{name}\t{value:.4f}" for name, value in report.rows()]
-    body = "\n".join(lines) + "\n"
-    write_atomic(out / "score.tsv", body.encode("utf-8"))
-    print(body.strip())
+    text = write_tsv(out / "score.tsv", ("vessel", "score"),
+                     [(name, f"{value:.4f}") for name, value in report.rows()])
+    print(text.strip())
     return 0
 
 

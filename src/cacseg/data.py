@@ -10,10 +10,10 @@ probabilities default to the clinical imbalance (LM rarest at 1.3% of
 slices, RCA most common at 7.4%), and LM lesions can be as small as 5
 pixels.
 
-Dataset directory layout: manifest.tsv (image path, mask path, per-class
-pixel counts) plus TNS1 files; images are raw HU (integers stored as f32,
-shape 1xHxW), masks are u8 (HxW) with labels {0 background, 1 bone,
-2 LM, 3 LAD, 4 LCX, 5 RCA}.
+Dataset directory layout: manifest.tsv, a `params.write_tsv` table of
+image path, mask path and per-class pixel counts, plus TNS1 files; images
+are raw HU (integers stored as f32, shape 1xHxW), masks are u8 (HxW) with
+labels {0 background, 1 bone, 2 LM, 3 LAD, 4 LCX, 5 RCA}.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataIOError, LabelError
-from .params import load_tns, save_tns, write_atomic
+from .params import load_tns, read_tsv, save_tns, write_tsv
 
 HU_LO = -150.0
 HU_HI = 230.0
@@ -428,8 +428,7 @@ def generate_phantom(spec: PhantomSpec, out_dir) -> Path:
         counts = np.bincount(sample.mask.ravel(), minlength=NUM_CLASSES)
         rows.append((img_rel, mask_rel, *counts.tolist()))
     manifest = root / MANIFEST_NAME
-    lines = ["\t".join(MANIFEST_COLUMNS)] + ["\t".join(str(x) for x in row) for row in rows]
-    write_atomic(manifest, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_tsv(manifest, MANIFEST_COLUMNS, rows)
     return manifest
 
 
@@ -444,27 +443,17 @@ class Dataset:
         manifest = self.root / MANIFEST_NAME
         if not manifest.is_file():
             raise DataIOError(f"no {MANIFEST_NAME} in {self.root}")
-        try:
-            with open(manifest, "r", encoding="utf-8") as f:
-                lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(f, 1) if ln.strip()]
-        except UnicodeDecodeError as e:
-            raise DataIOError(f"{manifest} is not UTF-8 text: {e}") from e
-        if not lines or lines[0][1].split("\t") != list(MANIFEST_COLUMNS):
-            raise DataIOError(f"{manifest} has an unexpected header")
         self.rows = []
-        for no, ln in lines[1:]:
-            parts = ln.split("\t")
-            if len(parts) != len(MANIFEST_COLUMNS):
-                raise DataIOError(f"{manifest}: malformed row {ln!r}")
+        for no, (image, mask, *cells) in read_tsv(manifest, MANIFEST_COLUMNS):
             try:
-                counts = np.array([int(x) for x in parts[2:]], dtype=np.int64)
+                counts = np.array([int(x) for x in cells], dtype=np.int64)
             except (ValueError, OverflowError):
                 counts = None
             if counts is None or (counts < 0).any():
                 raise DataIOError(
                     f"{manifest} line {no}: pixel counts must be non-negative integers, "
-                    f"got {parts[2:]}")
-            self.rows.append((parts[0], parts[1], counts))
+                    f"got {cells}")
+            self.rows.append((image, mask, counts))
         if not self.rows:
             raise DataIOError(f"{manifest} lists no slices")
 

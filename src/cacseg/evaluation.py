@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (CLASS_NAMES, LESION_CLASSES, NUM_CLASSES, VESSELS, check_labels,
-                   hu_normalize)
+from .data import LESION_CLASSES, NUM_CLASSES, VESSELS, check_labels, hu_normalize
 from .errors import ConfigError, DimensionError
 from .params import save_tns, write_ppm
 
@@ -244,10 +243,3 @@ def export_prediction(logits, dest_stem, hu_image=None) -> tuple:
         color = rgb.astype(np.uint8)
     write_ppm(ppm_path, color)
     return mask_path, ppm_path
-
-
-def dice_report_tsv(dice: np.ndarray) -> str:
-    """TSV rendering of a per-class Dice vector, metrics-log column naming."""
-    header = "\t".join(f"dice_{name}" for name in CLASS_NAMES)
-    values = "\t".join(f"{dice[i]:.6f}" for i in range(NUM_CLASSES))
-    return header + "\n" + values + "\n"

@@ -6,12 +6,13 @@ order, which the builders keep deterministic, so a fixed seed always
 produces a bit-identical store.
 
 The kit's file formats live here too: TNS1 tensors (see `tns_encode`),
-RCKP checkpoints and PPM overlays, each written through the one atomic
-writer, `write_atomic`, as is every other output file. Checkpoint
-container (RCKP): magic "RCKP", u32 version, u32 entry count, then per
-entry a u16 name length, the UTF-8 name, and an embedded TNS1 tensor.
-A checkpoint is streamed to disk entry by entry, never built whole in
-memory. TNS1 and RCKP round trips are bit-exact.
+RCKP checkpoints, PPM overlays and tab-separated tables (`write_tsv`,
+`read_tsv`), each written through the one atomic writer, `write_atomic`,
+as is every other output file. Checkpoint container (RCKP): magic
+"RCKP", u32 version, u32 entry count, then per entry a u16 name length,
+the UTF-8 name, and an embedded TNS1 tensor. A checkpoint is streamed to
+disk entry by entry, never built whole in memory. TNS1 and RCKP round
+trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -173,6 +174,34 @@ def write_atomic(path, data) -> None:
         if isinstance(e, OSError):
             raise DataIOError(f"cannot write {path}: {e}") from e
         raise
+
+
+def write_tsv(path, columns, rows) -> str:
+    """Write a table through `write_atomic` and return its text: a header
+    line of `columns`, then one line per row, each cell as ``str(cell)``,
+    joined by tabs and ended by a newline, in UTF-8."""
+    text = "".join("\t".join(map(str, cells)) + "\n" for cells in (columns, *rows))
+    write_atomic(path, text.encode("utf-8"))
+    return text
+
+
+def read_tsv(path, columns) -> list[tuple[int, list[str]]]:
+    """(line number, cells) of each non-blank row of the `write_tsv` table
+    at `path`. Raises DataIOError when the file cannot be read, is not
+    UTF-8, has a header other than `columns`, or has a row of another width."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(f, 1) if ln.strip()]
+    except UnicodeDecodeError as e:
+        raise DataIOError(f"{path} is not UTF-8 text: {e}") from e
+    except OSError as e:
+        raise DataIOError(f"cannot read {path}: {e}") from e
+    if not lines or lines[0][1].split("\t") != list(columns):
+        raise DataIOError(f"{path} has an unexpected header")
+    for _, ln in lines[1:]:
+        if ln.count("\t") != len(columns) - 1:
+            raise DataIOError(f"{path}: malformed row {ln!r}")
+    return [(no, ln.split("\t")) for no, ln in lines[1:]]
 
 
 def tns_encode(arr: np.ndarray) -> bytes:

@@ -321,13 +321,15 @@ class Tensor:
     def _binary(self, other: "Tensor", out_data: np.ndarray, grad_a, grad_b,
                 rebuild=None) -> "Tensor":
         """`out_data` recorded as a broadcasting op of `self` and `other`:
-        backward accumulates ``grad_a(g)`` into `self` and ``grad_b(g)``
-        into `other`, each summed down to its operand's shape."""
+        backward accumulates ``grad_a(g)`` into `self` and ``grad_b(g)`` into
+        `other`, summed down to its shape, only for an operand that needs it."""
         an, bn = self._node, other._node
 
         def bw(g):
-            an.accum(_unbroadcast(grad_a(g), an.shape))
-            bn.accum(_unbroadcast(grad_b(g), bn.shape))
+            if an.requires_grad:
+                an.accum(_unbroadcast(grad_a(g), an.shape))
+            if bn.requires_grad:
+                bn.accum(_unbroadcast(grad_b(g), bn.shape))
 
         return Tensor._make(out_data, (an, bn), bw, rebuild)
 

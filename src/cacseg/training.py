@@ -2,7 +2,9 @@
 
 All randomness in a run flows from one seed: shuffling uses the stream
 (seed, 0, epoch) and per-sample augmentation (seed, 1, epoch, index), so
-a run resumed from its last checkpoint continues bit-exactly.
+a run resumed from its last checkpoint continues bit-exactly. Each epoch
+rewrites metrics.tsv, a `params.write_tsv` table whose floats are in repr
+form, so `params.read_tsv` gives back the exact values logged.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from .errors import ConfigError, ContractError, DimensionError, NumericError
 from .evaluation import dice_global
 from .losses import LossConfig, loss_by_variant
 from .network import ArchConfig, build, forward, load_model
-from .params import ParameterStore, save_checkpoint, take_entry, write_atomic
+from .params import ParameterStore, save_checkpoint, take_entry, write_tsv
 from .tensor import Tensor, no_grad
 
 METRICS_NAME = "metrics.tsv"
-METRICS_HEADER = "\t".join(("epoch", "lr", "train_loss", *(f"dice_{v}" for v in D.VESSELS)))
+METRICS_COLUMNS = ("epoch", "lr", "train_loss", *(f"dice_{v}" for v in D.VESSELS))
 BEST_CHECKPOINT = "best.rckp"
 LAST_CHECKPOINT = "last.rckp"
 
@@ -207,13 +209,6 @@ class TrainResult:
     rows: list
 
 
-def _write_metrics(path, rows) -> None:
-    lines = [METRICS_HEADER]
-    lines += ["\t".join([str(epoch)] + [repr(v) for v in values])
-              for epoch, *values in rows]
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
-
-
 def _save_training_state(path, store: ParameterStore, state: AdamState,
                          next_epoch: int, best_score: float,
                          best_epoch: int) -> None:
@@ -258,8 +253,7 @@ def train(arch: ArchConfig, train_ds: D.Dataset, val_ds: D.Dataset,
     """Deterministic training loop with per-epoch validation.
 
     Writes metrics.tsv (epoch, lr, train loss, per-lesion validation
-    Dice; every value in repr form, so it parses back to the exact
-    float), the best-validation checkpoint (selected by mean lesion-class
+    Dice), the best-validation checkpoint (selected by mean lesion-class
     Dice), and a resumable last checkpoint carrying optimizer state.
     metrics.tsv and the last checkpoint are rewritten at the end of every
     epoch, so a run that stops early leaves the epochs it finished.
@@ -285,7 +279,7 @@ def train(arch: ArchConfig, train_ds: D.Dataset, val_ds: D.Dataset,
     n = len(train_ds)
     rows = []
     metrics_path = out / METRICS_NAME
-    _write_metrics(metrics_path, rows)
+    write_tsv(metrics_path, METRICS_COLUMNS, rows)
 
     for epoch in range(start_epoch, train_cfg.epochs):
         lr = lr_at(epoch, train_cfg)
@@ -326,7 +320,8 @@ def train(arch: ArchConfig, train_ds: D.Dataset, val_ds: D.Dataset,
             save_checkpoint(out / BEST_CHECKPOINT, store.state_entries())
         _save_training_state(out / LAST_CHECKPOINT, store, state, epoch + 1,
                              best_score, best_epoch)
-        _write_metrics(metrics_path, rows)
+        write_tsv(metrics_path, METRICS_COLUMNS,
+                  [(epoch, *map(repr, values)) for epoch, *values in rows])
 
     return TrainResult(metrics_path=metrics_path,
                        best_checkpoint=out / BEST_CHECKPOINT,

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -657,6 +658,13 @@ def test_program_modules_do_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_only_params_lays_out_a_table():
+    # params.write_tsv and read_tsv own the tab-separated format
+    src = Path(cli.__file__).parent
+    with_tabs = sorted(p.name for p in src.rglob("*.py") if "\\t" in p.read_text())
+    assert with_tabs == ["params.py"]
 
 
 def test_params_imports_first_in_a_fresh_interpreter():

@@ -1,4 +1,4 @@
-"""Corrupt TNS1, RCKP and manifest bytes fail with DataIOError, never a
+"""Corrupt TNS1, RCKP, table and manifest bytes fail with DataIOError, never a
 raw error.
 
 Truncations and bit flips are drawn by hypothesis; each one must either
@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from cacseg.cli import main
 from cacseg.data import MANIFEST_NAME, Dataset, PhantomSpec, generate_phantom
 from cacseg.errors import DataIOError
-from cacseg.params import load_checkpoint, save_checkpoint, tns_decode, tns_encode
+from cacseg.params import (load_checkpoint, read_tsv, save_checkpoint, tns_decode, tns_encode,
+                           write_tsv)
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -168,3 +169,38 @@ class TestManifest:
                 ds.sample(i)
         except DataIOError:
             pass
+
+
+class TestTable:
+    COLUMNS = ("name", "value")
+
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        text = write_tsv(path, self.COLUMNS, [("a", 1), ("b", f"{0.5:.4f}")])
+        assert text == "name\tvalue\na\t1\nb\t0.5000\n"
+        assert path.read_bytes() == text.encode("utf-8")
+        assert read_tsv(path, self.COLUMNS) == [(2, ["a", "1"]), (3, ["b", "0.5000"])]
+
+    def test_blank_lines_are_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("name\tvalue\n\na\t1\n  \n")
+        assert read_tsv(path, self.COLUMNS) == [(3, ["a", "1"])]
+
+    def test_header_only_table_has_no_rows(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        write_tsv(path, self.COLUMNS, [])
+        assert read_tsv(path, self.COLUMNS) == []
+
+    @pytest.mark.parametrize("body,message", [
+        (None, "cannot read"),
+        (b"", "has an unexpected header"),
+        (b"name\tother\n", "has an unexpected header"),
+        (b"name\tvalue\na\t1\t2\n", r"malformed row 'a\\t1\\t2'"),
+        (b"name\tvalue\n\xff\t1\n", "is not UTF-8 text"),
+    ])
+    def test_bad_table_raises_io_error(self, tmp_path, body, message):
+        path = tmp_path / "t.tsv"
+        if body is not None:
+            path.write_bytes(body)
+        with pytest.raises(DataIOError, match=message):
+            read_tsv(path, self.COLUMNS)

@@ -1039,6 +1039,31 @@ class TestBackward:
             assert set(map(id, held(out))) == {id(out.data)}, name
         assert set(map(id, held(x.log()))) == {id(x.data)}
 
+    def test_binary_ops_compute_no_gradient_for_a_constant(self, monkeypatch):
+        # A desk64-shaped loss backward (batch 16, 64x64, FocalLogDice with
+        # inverse-frequency weights) multiplies by the constant one-hot and
+        # weight tensors; no gradient may be computed for them.
+        rng = np.random.default_rng(5)
+        logits = Tensor(rng.standard_normal((16, 6, 64, 64)).astype(np.float32),
+                        requires_grad=True)
+        target = np.zeros((16, 64, 64), np.int64)
+        for i in range(16):
+            r, c = rng.integers(4, 56, size=2)
+            target[i, r:r + 6, c:c + 6] = 1 + i % 4
+        counts = np.bincount(target.ravel(), minlength=6)
+        loss = loss_by_variant(LossConfig(class_weights=class_weights_from_counts(counts)))(
+            logits, target)
+        wasted, accum = [], T._Node.accum
+
+        def counting(node, g):
+            if not node.requires_grad:
+                wasted.append(g.shape)
+            accum(node, g)
+        monkeypatch.setattr(T._Node, "accum", counting)
+        loss.backward()
+        assert wasted == [], f"{len(wasted)} gradients computed for constants: {wasted}"
+        assert logits.grad is not None
+
     def test_desk64_step_releases_graph(self):
         # One desk64-shaped training step: L2, base 8, batch 16, 64x64,
         # FocalLogDice with inverse-frequency weights of a sparse mask.

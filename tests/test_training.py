@@ -160,13 +160,25 @@ class TestTrainLoop:
         result = TR.train(TINY_ARCH, tiny_dataset, tiny_dataset, LossConfig(),
                           cfg, tmp_path, aug_cfg=D.AugmentConfig(enabled=False))
         lines = result.metrics_path.read_text().splitlines()
-        assert lines[0] == TR.METRICS_HEADER
+        assert lines[0].split("\t") == list(TR.METRICS_COLUMNS)
         assert len(lines) == 4
         for row, logged in zip(lines[1:], result.rows):
             cells = row.split("\t")
             epoch = int(cells[0])
             assert float(cells[1]) == TR.lr_at(epoch, cfg)
             assert [float(c) for c in cells[1:]] == list(logged[1:])
+
+    def test_metrics_round_trip_through_read_tsv(self, tiny_dataset, tmp_path):
+        cfg = quick_cfg(epochs=2)
+        result = TR.train(TINY_ARCH, tiny_dataset, tiny_dataset, LossConfig(),
+                          cfg, tmp_path, aug_cfg=D.AugmentConfig(enabled=False))
+        rows = params.read_tsv(result.metrics_path, TR.METRICS_COLUMNS)
+        assert [no for no, _ in rows] == [2, 3]
+        for (_, cells), logged in zip(rows, result.rows, strict=True):
+            epoch = int(cells[0])
+            assert epoch == logged[0]
+            assert float(cells[1]) == TR.lr_at(epoch, cfg)
+            assert [float(c) for c in cells[3:]] == list(logged[3:])
 
     def test_rerun_is_bit_exact(self, tiny_dataset, tmp_path):
         outs = []
@@ -402,7 +414,7 @@ class TestPersistence:
             TR.train(TINY_ARCH, tiny_dataset, tiny_dataset, LossConfig(),
                      quick_cfg(epochs=4), tmp_path, aug_cfg=D.AugmentConfig(enabled=False))
         lines = (tmp_path / TR.METRICS_NAME).read_text().splitlines()
-        assert lines[0] == TR.METRICS_HEADER
+        assert lines[0].split("\t") == list(TR.METRICS_COLUMNS)
         assert [row.split("\t")[0] for row in lines[1:]] == ["0", "1"]
         _, extra = load_model(tmp_path / TR.LAST_CHECKPOINT, TINY_ARCH)
         assert int(extra["opt.epoch"][0]) == 2

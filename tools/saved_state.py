@@ -153,7 +153,7 @@ def step(levels: int, base: int, batch: int, side: int) -> None:
         tracemalloc.stop()
 
     print(f"{'op':<22} {'closures':>8} {'MiB held':>9}")
-    for op in sorted(held, key=held.get, reverse=True):
+    for op in sorted(closures, key=lambda op: held[op], reverse=True):
         print(f"{op:<22} {closures[op]:>8} {held[op]:>9.1f}")
     print(f"{'total':<22} {sum(closures.values()):>8} {sum(held.values()):>9.1f}")
     print(f"traced memory when backward starts: {(start - base_mem) / MIB:.1f} MiB")
