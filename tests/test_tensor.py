@@ -1,8 +1,11 @@
 """Tensor engine tests: forward semantics, gradients, serialization."""
 
+import subprocess
+import sys
 import tracemalloc
 import types
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1134,6 +1137,27 @@ class TestBackward:
                             f"a {op} closure holds a {arr.dtype} array of shape {arr.shape}"
             nodes.extend(node._parents)
         assert switching == {"relu": 15, "maxpool2": 2}
+
+
+class TestAllocator:
+    def test_a_freed_large_block_leaves_the_process(self):
+        # With glibc's dynamic thresholds the first free of a 9 MiB block
+        # raises them, so the next 9 MiB block is carved from the heap and
+        # stays resident, 8.9 MiB of it, after it is freed.
+        if not Path("/proc/self/statm").is_file() or not T._fix_malloc_thresholds():
+            pytest.skip("needs glibc's mallopt and /proc/self/statm")
+        code = ("import os, numpy as np, cacseg.tensor\n"
+                "def resident():\n"
+                "    with open('/proc/self/statm') as f:\n"
+                "        return int(f.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+                "base = resident()\n"
+                "for _ in range(3):\n"
+                "    block = np.ones(9 << 18, np.float32)\n"
+                "    del block\n"
+                "print(resident() - base)\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert int(out.stdout) < 2 ** 20, f"{int(out.stdout) / 2 ** 20:.1f} MiB stayed resident"
 
 
 class TestDeterminism:
